@@ -245,21 +245,6 @@ impl CompressedStoreView {
         Ok(CompressedStoreView::from_parts(V2Buf::Shared(bytes), meta))
     }
 
-    /// Opens a v2 archive file, memory-mapping it when the platform
-    /// allows. Combined with lazy section validation, serving an
-    /// archive never materializes the blob on the heap.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure or the same conditions as [`CompressedStoreView::open`].
-    pub fn open_path(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<CompressedStoreView, StoreOpenError> {
-        let buf = Arc::new(MmapBuf::open(path.as_ref())?);
-        let meta = parse_v2(buf.bytes())?;
-        Ok(CompressedStoreView::from_parts(V2Buf::Mapped(buf), meta))
-    }
-
     fn from_parts(buf: V2Buf, meta: V2Meta) -> CompressedStoreView {
         let decoded = (0..meta.sections.len()).map(|_| OnceLock::new()).collect();
         CompressedStoreView {
@@ -546,23 +531,15 @@ impl CompressedStoreView {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let mut gathered = Vec::new();
-        for (u, v) in faults {
-            let e = self
-                .edge_id(u, v)
-                .map_err(StoreError::Corrupt)?
-                .ok_or(StoreError::UnknownEdge { u, v })?;
-            gathered.push(
-                self.gather_edge(e)
+        let ids = faults
+            .into_iter()
+            .map(|(u, v)| {
+                self.edge_id(u, v)
                     .map_err(StoreError::Corrupt)?
-                    .expect("edge_id returns in-range IDs"),
-            );
-        }
-        Ok(QuerySession::new_in(
-            self.inner.meta.header,
-            gathered,
-            scratch,
-        )?)
+                    .ok_or(StoreError::UnknownEdge { u, v })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        self.session_in_by_ids(ids, scratch)
     }
 
     /// Like [`CompressedStoreView::session_in`] with a throwaway scratch.
@@ -752,7 +729,11 @@ impl CompressedStore {
     }
 }
 
-/// Either archive format behind one open call.
+/// Either archive format behind one label-source surface: the only code
+/// that dispatches between the v1 [`LabelStoreView`] and the v2
+/// [`CompressedStoreView`]. Every method is a two-arm delegation, so a
+/// consumer (the serving layer, the CLI) resolves vertices and fault
+/// edges and builds sessions without knowing which format it holds.
 #[derive(Clone, Debug)]
 pub enum AnyArchive {
     /// A v1 (uncompressed) archive view.
@@ -799,6 +780,102 @@ impl AnyArchive {
         match self {
             AnyArchive::V1(v) => v.archive_bytes(),
             AnyArchive::V2(v) => v.archive_bytes(),
+        }
+    }
+
+    /// The codec threshold `k` of the stored edge labels.
+    pub fn k(&self) -> usize {
+        match self {
+            AnyArchive::V1(v) => v.k(),
+            AnyArchive::V2(v) => v.k(),
+        }
+    }
+
+    /// Number of stored hierarchy levels.
+    pub fn levels(&self) -> usize {
+        match self {
+            AnyArchive::V1(v) => v.levels(),
+            AnyArchive::V2(v) => v.levels(),
+        }
+    }
+
+    /// The label of vertex `v`; `Ok(None)` when `v` is out of range.
+    ///
+    /// # Errors
+    ///
+    /// [`SerialError`] if a v2 vertex section fails lazy validation.
+    pub fn vertex(&self, v: usize) -> Result<Option<VertexLabelView<'_>>, SerialError> {
+        match self {
+            AnyArchive::V1(view) => Ok(view.vertex(v)),
+            AnyArchive::V2(view) => view.vertex(v),
+        }
+    }
+
+    /// The edge ID of the edge joining `u` and `v` (either order);
+    /// `Ok(None)` when no such edge is stored.
+    ///
+    /// # Errors
+    ///
+    /// [`SerialError`] if a v2 endpoint section fails lazy validation.
+    pub fn edge_id(&self, u: usize, v: usize) -> Result<Option<usize>, SerialError> {
+        match self {
+            AnyArchive::V1(view) => Ok(view.edge_id(u, v)),
+            AnyArchive::V2(view) => view.edge_id(u, v),
+        }
+    }
+
+    /// Builds a [`QuerySession`] for faults named by endpoint pairs,
+    /// drawing buffers from `scratch`.
+    ///
+    /// # Errors
+    ///
+    /// As [`LabelStoreView::session_in`] / [`CompressedStoreView::session_in`].
+    pub fn session_in<I>(
+        &self,
+        faults: I,
+        scratch: &mut SessionScratch<RsVector>,
+    ) -> Result<QuerySession, StoreError>
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+    {
+        match self {
+            AnyArchive::V1(view) => view.session_in(faults, scratch),
+            AnyArchive::V2(view) => view.session_in(faults, scratch),
+        }
+    }
+
+    /// Builds a [`QuerySession`] for faults named by edge ID, drawing
+    /// buffers from `scratch`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::UnknownEdge`] (with the ID in both slots) for an
+    /// out-of-range ID, otherwise as [`AnyArchive::session_in`].
+    pub fn session_in_by_ids<I>(
+        &self,
+        faults: I,
+        scratch: &mut SessionScratch<RsVector>,
+    ) -> Result<QuerySession, StoreError>
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        match self {
+            AnyArchive::V1(view) => view.session_in_by_ids(faults, scratch),
+            AnyArchive::V2(view) => view.session_in_by_ids(faults, scratch),
+        }
+    }
+
+    /// The archive as a fully validated v1 view: a v1 archive as-is, a
+    /// v2 archive expanded to its byte-identical v1 blob (decodes every
+    /// section).
+    ///
+    /// # Errors
+    ///
+    /// [`SerialError`] if a v2 section fails validation.
+    pub fn into_v1(self) -> Result<LabelStoreView<'static>, SerialError> {
+        match self {
+            AnyArchive::V1(view) => Ok(view),
+            AnyArchive::V2(view) => LabelStoreView::open_shared(view.to_v1_vec()?),
         }
     }
 }

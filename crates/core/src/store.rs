@@ -46,8 +46,9 @@
 //!
 //! Version 2 of the container — entropy-coded sections with per-section
 //! checksums and O(header) opening — lives in [`crate::compressed`];
-//! [`LabelStoreView::open_path`] here memory-maps v1 archives so neither
-//! format requires materializing the blob on the heap.
+//! [`crate::compressed::open_path`] memory-maps archive files of either
+//! version, so neither format requires materializing the blob on the
+//! heap.
 //!
 //! # Example
 //!
@@ -292,7 +293,7 @@ enum ArchiveBuf<'a> {
     Borrowed(&'a [u8]),
     /// Shared ownership of the blob ([`LabelStoreView::open_shared`]).
     Shared(Arc<[u8]>),
-    /// A shared memory-mapped file ([`LabelStoreView::open_path`]).
+    /// A shared memory-mapped file ([`crate::compressed::open_path`]).
     Mapped(Arc<crate::mmap::MmapBuf>),
 }
 
@@ -533,27 +534,7 @@ impl<'a> LabelStoreView<'a> {
         Ok(view)
     }
 
-    /// Opens an archive file by path, memory-mapping it when the
-    /// platform allows (falling back to reading it into memory). The
-    /// returned view is `'static` and shares the mapping, so cloning is
-    /// O(1) and the file is never materialized on the heap.
-    ///
-    /// This opens **v1** archives; [`crate::compressed::open_path`]
-    /// dispatches on the version tag and handles both formats.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreOpenError::Io`] when the file cannot be read or mapped,
-    /// [`StoreOpenError::Malformed`] under the same conditions as
-    /// [`LabelStoreView::open`].
-    pub fn open_path(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<LabelStoreView<'static>, StoreOpenError> {
-        let buf = Arc::new(crate::mmap::MmapBuf::open(path.as_ref())?);
-        Ok(LabelStoreView::from_mmap(buf)?)
-    }
-
-    /// Opens a v1 view over an already-mapped buffer (shared with the
+    /// Opens a v1 view over an already-mapped buffer (the v1 arm of the
     /// version-dispatching [`crate::compressed::open_path`]).
     pub(crate) fn from_mmap(
         buf: Arc<crate::mmap::MmapBuf>,
@@ -617,6 +598,19 @@ impl<'a> LabelStoreView<'a> {
     /// Number of archived edge labels.
     pub fn m(&self) -> usize {
         self.meta.m
+    }
+
+    /// The codec threshold `k` of the first archived edge label (builder
+    /// and patch archives share one geometry across all records); 0 when
+    /// the archive holds no edges.
+    pub fn k(&self) -> usize {
+        self.edge_by_id(0).map_or(0, |e| e.k())
+    }
+
+    /// Number of hierarchy levels the first archived edge label carries;
+    /// 0 when the archive holds no edges.
+    pub fn levels(&self) -> usize {
+        self.edge_by_id(0).map_or(0, |e| e.levels())
     }
 
     /// Total archive size in bytes.
@@ -805,23 +799,61 @@ impl<'a> LabelStoreView<'a> {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        // Stream the endpoint-pair resolution into the session build: an
-        // unknown pair stops the iterator and is reported after the fact
-        // (the partial build is discarded, its storage kept warm).
-        let mut unknown: Option<(usize, usize)> = None;
-        let views = faults.into_iter().map_while(|(u, v)| {
-            let view = self.edge(u, v);
+        self.session_resolving(
+            faults,
+            |(u, v)| self.edge(u, v),
+            |(u, v)| StoreError::UnknownEdge { u, v },
+            scratch,
+        )
+    }
+
+    /// Like [`LabelStoreView::session_in`], naming faults by original
+    /// edge ID (unlike endpoint pairs, IDs distinguish parallel edges).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::UnknownEdge`] (with the ID in both slots) for an
+    /// out-of-range ID, otherwise as [`LabelStoreView::session_in`].
+    pub fn session_in_by_ids<I>(
+        &self,
+        faults: I,
+        scratch: &mut SessionScratch<RsVector>,
+    ) -> Result<QuerySession, StoreError>
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        self.session_resolving(
+            faults,
+            |e| self.edge_by_id(e),
+            |e| StoreError::UnknownEdge { u: e, v: e },
+            scratch,
+        )
+    }
+
+    /// Streams fault resolution into the session build: an unresolvable
+    /// key stops the iterator and is reported after the fact (the partial
+    /// build is discarded, its storage kept warm).
+    fn session_resolving<'s, K: Copy>(
+        &'s self,
+        faults: impl IntoIterator<Item = K>,
+        resolve: impl Fn(K) -> Option<ArchivedEdgeView<'s>>,
+        unknown: impl FnOnce(K) -> StoreError,
+        scratch: &mut SessionScratch<RsVector>,
+    ) -> Result<QuerySession, StoreError> {
+        let mut missing: Option<K> = None;
+        let views = faults.into_iter().map_while(|key| {
+            let view = resolve(key);
             if view.is_none() {
-                unknown = Some((u, v));
+                missing = Some(key);
             }
             view
         });
         let session = QuerySession::new_in(self.meta.header, views, scratch);
-        if let Some((u, v)) = unknown {
+        if let Some(key) = missing {
             if let Ok(partial) = session {
                 scratch.recycle(partial);
             }
-            return Err(StoreError::UnknownEdge { u, v });
+            return Err(unknown(key));
         }
         Ok(session?)
     }
@@ -853,8 +885,8 @@ impl<'a> LabelStoreView<'a> {
     }
 
     /// Decodes the archive back into an owned [`LabelSet`] — the
-    /// reconstitution path for components (like the forbidden-set router)
-    /// that need owned labels without re-running the scheme construction.
+    /// reconstitution path for consumers that need owned labels without
+    /// re-running the scheme construction.
     ///
     /// The label payloads land in **one** shared slab (each edge label is
     /// a window into it, exactly as a fresh build produces them), and the
@@ -867,7 +899,7 @@ impl<'a> LabelStoreView<'a> {
             .map(|v| self.vertex(v).expect("in range").to_label())
             .collect();
         // All edge labels share one codec geometry (validated at open).
-        let (k, levels) = self.edge_by_id(0).map_or((0, 0), |e| (e.k(), e.levels()));
+        let (k, levels) = (self.k(), self.levels());
         let window = 2 * k * levels;
         let mut slab_vec = vec![Gf64::ZERO; m * window];
         // One pass over the edge records: copy the payload into the slab

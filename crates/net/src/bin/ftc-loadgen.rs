@@ -66,6 +66,9 @@ use std::time::{Duration, Instant};
 // workload
 // ---------------------------------------------------------------------------
 
+/// Size of the workload's query-pair pool; `--pairs` may not exceed it.
+const PAIR_POOL: usize = 4096;
+
 /// The deterministic workload: a graph, fault-set pools, and query
 /// pairs, all derived from fixed seeds so an external server built from
 /// `--emit-graph` answers the exact same byte stream.
@@ -91,7 +94,7 @@ impl Workload {
                     .collect()
             })
             .collect();
-        let pairs = (0..4096)
+        let pairs = (0..PAIR_POOL)
             .map(|i| {
                 let a = (i * 7919 + 13) % n;
                 let b = (i * 104_729 + 31) % n;
@@ -123,8 +126,10 @@ impl Workload {
             .collect()
     }
 
+    /// The `index`-th request's window of `per_request` consecutive pairs
+    /// (at most [`PAIR_POOL`]).
     fn request_pairs(&self, index: usize, per_request: usize) -> &[(usize, usize)] {
-        let start = (index * per_request) % (self.pairs.len() - per_request);
+        let start = (index * per_request) % (self.pairs.len() - per_request + 1);
         &self.pairs[start..start + per_request]
     }
 }
@@ -1031,6 +1036,13 @@ fn run() -> Result<(), String> {
         }
     }
 
+    if custom_pairs.is_some_and(|p| p > PAIR_POOL) {
+        return Err(format!(
+            "--pairs may be at most {PAIR_POOL} (the workload's pair pool)\n{}",
+            usage()
+        ));
+    }
+
     let workload = Workload::new(quick);
 
     if let Some(path) = emit_graph {
@@ -1239,5 +1251,23 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_pairs_stay_in_the_pool_up_to_its_size() {
+        let workload = Workload::new(true);
+        for per in [1, 16, PAIR_POOL] {
+            for index in 0..64 {
+                let pairs = workload.request_pairs(index, per);
+                assert_eq!(pairs.len(), per, "per_request {per}, index {index}");
+            }
+        }
+        // The full-pool window is the whole pool.
+        assert_eq!(workload.request_pairs(5, PAIR_POOL), &workload.pairs[..]);
     }
 }

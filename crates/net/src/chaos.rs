@@ -14,10 +14,12 @@
 //!   exercising read timeouts and mid-frame patience.
 //!
 //! Randomness is a hand-rolled [`SplitMix64`] (the dependency tree has
-//! no RNG crate, by design): every connection derives its own stream
-//! from the proxy seed and a connection counter, so a given seed
-//! reproduces the same injection decisions per connection index
-//! regardless of thread scheduling.
+//! no RNG crate, by design): every connection direction derives its own
+//! stream from the proxy seed and a connection counter, and draws its
+//! decisions per [`CHAOS_BLOCK_BYTES`]-byte block of the forwarded byte
+//! stream. A decision is therefore a pure function of (seed, connection
+//! index, direction, byte offset) — neither thread scheduling nor the
+//! way the kernel splits the stream into reads can move it.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -53,20 +55,26 @@ impl SplitMix64 {
     }
 }
 
+/// Injection decisions are drawn once per block of this many bytes of
+/// each direction's forwarded stream (about one small request frame).
+pub const CHAOS_BLOCK_BYTES: u64 = 32;
+
 /// Injection rates and shapes of one [`ChaosProxy`]. Rates are per
-/// forwarded chunk, in parts per 10 000.
+/// [`CHAOS_BLOCK_BYTES`]-byte block of forwarded stream, in parts per
+/// 10 000.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Seed for all injection decisions. The same seed and connection
     /// arrival order reproduce the same per-connection decisions.
     pub seed: u64,
-    /// Chance (per chunk) of resetting the connection mid-stream.
+    /// Chance (per block) of resetting the connection as the stream
+    /// reaches the block.
     pub reset_per_10k: u32,
-    /// Chance (per chunk) of flipping one forwarded byte.
+    /// Chance (per block) of flipping one of its bytes.
     pub corrupt_per_10k: u32,
-    /// Chance (per chunk) of a stalled, split write.
+    /// Chance (per block) of a stalled write split inside it.
     pub stall_per_10k: u32,
-    /// How long a stalled chunk pauses between its two halves.
+    /// How long a stalled write pauses between its two halves.
     pub stall: Duration,
 }
 
@@ -91,7 +99,7 @@ pub struct ChaosStats {
     pub resets: u64,
     /// Bytes flipped in flight.
     pub corrupted_bytes: u64,
-    /// Chunks delivered as a stalled, split write.
+    /// Writes delivered stalled and split.
     pub stalls: u64,
     /// Payload bytes forwarded (both directions).
     pub forwarded_bytes: u64,
@@ -195,8 +203,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
                 let _ = down.set_nodelay(true);
                 let _ = up.set_nodelay(true);
                 // One deterministic dice stream per direction, derived
-                // from (seed, connection index): scheduling cannot change
-                // what a given connection's pumps decide.
+                // from (seed, connection index) and consumed block by
+                // block: scheduling cannot change what a given
+                // connection's pumps decide.
                 for (dir, from, to) in [(0u64, &down, &up), (1u64, &up, &down)] {
                     let (Ok(from), Ok(to)) = (from.try_clone(), to.try_clone()) else {
                         continue;
@@ -225,8 +234,40 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
     }
 }
 
-/// Forwards one direction of one connection, rolling the injection dice
-/// once per chunk.
+/// The injection decisions for one [`CHAOS_BLOCK_BYTES`]-byte block, as
+/// offsets into the block.
+#[derive(Clone, Copy, Default)]
+struct BlockPlan {
+    /// Reset the connection before forwarding the block's first byte.
+    reset: bool,
+    /// Flip this byte of the block with this (nonzero) mask.
+    corrupt: Option<(u64, u8)>,
+    /// Stall just before this byte of the block.
+    stall: Option<u64>,
+}
+
+impl BlockPlan {
+    /// Rolls the next block's decisions, always in the same order.
+    fn draw(rng: &mut SplitMix64, cfg: &ChaosConfig) -> BlockPlan {
+        let reset = rng.chance(cfg.reset_per_10k);
+        let corrupt = rng.chance(cfg.corrupt_per_10k).then(|| {
+            let at = rng.next_u64() % CHAOS_BLOCK_BYTES;
+            (at, (rng.next_u64() as u8) | 1)
+        });
+        let stall = rng
+            .chance(cfg.stall_per_10k)
+            .then(|| 1 + rng.next_u64() % (CHAOS_BLOCK_BYTES - 1));
+        BlockPlan {
+            reset,
+            corrupt,
+            stall,
+        }
+    }
+}
+
+/// Forwards one direction of one connection, applying each block's
+/// injection decisions at the stream offsets they name, however the
+/// reads happen to split the stream.
 fn pump(mut from: TcpStream, mut to: TcpStream, mut rng: SplitMix64, shared: &ProxyShared) {
     let cfg = &shared.config;
     let counters = &shared.counters;
@@ -237,6 +278,9 @@ fn pump(mut from: TcpStream, mut to: TcpStream, mut rng: SplitMix64, shared: &Pr
         return;
     }
     let mut buf = [0u8; 2048];
+    // Stream offset of `buf[0]`, and the plan of the block holding it.
+    let mut offset = 0u64;
+    let mut plan = BlockPlan::default();
     loop {
         if shared.stop.load(Ordering::Acquire) {
             let _ = from.shutdown(Shutdown::Both);
@@ -259,35 +303,37 @@ fn pump(mut from: TcpStream, mut to: TcpStream, mut rng: SplitMix64, shared: &Pr
                 return;
             }
         };
-        let chunk = &mut buf[..n];
-        if rng.chance(cfg.reset_per_10k) {
-            counters.resets.fetch_add(1, Ordering::Relaxed);
-            let _ = from.shutdown(Shutdown::Both);
-            let _ = to.shutdown(Shutdown::Both);
-            return;
-        }
-        if rng.chance(cfg.corrupt_per_10k) {
-            let at = (rng.next_u64() as usize) % n;
-            // Flip at least one bit, never zero.
-            let mask = (rng.next_u64() as u8) | 1;
-            chunk[at] ^= mask;
-            counters.corrupted_bytes.fetch_add(1, Ordering::Relaxed);
-        }
-        let stalled = rng.chance(cfg.stall_per_10k) && n > 1;
-        let write_ok = if stalled {
-            counters.stalls.fetch_add(1, Ordering::Relaxed);
-            let split = 1 + (rng.next_u64() as usize) % (n - 1);
-            to.write_all(&chunk[..split]).is_ok() && {
-                std::thread::sleep(cfg.stall);
-                to.write_all(&chunk[split..]).is_ok()
+        // `chunk[..flushed]` has been written on.
+        let (chunk, mut flushed) = (&mut buf[..n], 0);
+        let mut write_ok = true;
+        for i in 0..n {
+            let at = (offset + i as u64) % CHAOS_BLOCK_BYTES;
+            if at == 0 {
+                plan = BlockPlan::draw(&mut rng, cfg);
+                if plan.reset {
+                    counters.resets.fetch_add(1, Ordering::Relaxed);
+                    let _ = to.write_all(&chunk[flushed..i]);
+                    let _ = from.shutdown(Shutdown::Both);
+                    let _ = to.shutdown(Shutdown::Both);
+                    return;
+                }
             }
-        } else {
-            to.write_all(chunk).is_ok()
-        };
-        if !write_ok {
+            if let Some((_, mask)) = plan.corrupt.filter(|&(b, _)| b == at) {
+                chunk[i] ^= mask;
+                counters.corrupted_bytes.fetch_add(1, Ordering::Relaxed);
+            }
+            if plan.stall == Some(at) && write_ok {
+                counters.stalls.fetch_add(1, Ordering::Relaxed);
+                write_ok = to.write_all(&chunk[flushed..i]).is_ok();
+                std::thread::sleep(cfg.stall);
+                flushed = i;
+            }
+        }
+        if !write_ok || to.write_all(&chunk[flushed..]).is_err() {
             let _ = from.shutdown(Shutdown::Both);
             return;
         }
+        offset += n as u64;
         counters
             .forwarded_bytes
             .fetch_add(n as u64, Ordering::Relaxed);
@@ -311,6 +357,49 @@ mod tests {
         let mut r = SplitMix64::new(3);
         assert!(!(0..1000).any(|_| r.chance(0)));
         assert!((0..1000).all(|_| r.chance(10_000)));
+    }
+
+    #[test]
+    fn decisions_follow_stream_offsets_not_read_boundaries() {
+        // The same bytes, written whole or in small pieces (so the proxy
+        // reads them in different chunks), arrive with the same bytes
+        // flipped: the schedule is keyed to the stream offset.
+        let data: Vec<u8> = (0..600u32).map(|i| (i * 7) as u8).collect();
+        let deliver = |piece: usize| -> Vec<u8> {
+            let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+            let up_addr = upstream.local_addr().unwrap();
+            let sink = std::thread::spawn(move || {
+                let (mut s, _) = upstream.accept().unwrap();
+                let mut got = Vec::new();
+                s.read_to_end(&mut got).unwrap();
+                got
+            });
+            let mut proxy = ChaosProxy::spawn(
+                up_addr,
+                ChaosConfig {
+                    seed: 11,
+                    reset_per_10k: 0,
+                    corrupt_per_10k: 3_000,
+                    stall_per_10k: 3_000,
+                    stall: Duration::from_millis(1),
+                },
+            )
+            .unwrap();
+            let mut c = TcpStream::connect(proxy.addr()).unwrap();
+            c.set_nodelay(true).unwrap();
+            for part in data.chunks(piece) {
+                c.write_all(part).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            c.shutdown(Shutdown::Write).unwrap();
+            let got = sink.join().unwrap();
+            proxy.shutdown();
+            got
+        };
+        let whole = deliver(data.len());
+        assert_eq!(whole.len(), data.len());
+        assert_ne!(whole, data, "the seeded schedule flips some bytes");
+        assert_eq!(deliver(7), whole);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! fragments (which cannot touch `F`), certificate edges between them,
 //! subdivision vertices contracted back to original edges.
 
+use ftc_core::ancestry::AncestryLabel;
 use ftc_core::auxgraph::AuxGraph;
-use ftc_core::store::LabelStoreView;
-use ftc_core::{BuildError, FtcScheme, LabelSet, Params, QueryError, RsVector, SizeReport};
+use ftc_core::store::{EdgeEncoding, LabelStoreView};
+use ftc_core::{BuildError, FtcScheme, Params, QueryError, SizeReport, VertexLabelRead};
 use ftc_graph::{EdgeId, Graph, RootedTree, VertexId};
 use ftc_serve::{ConnectivityService, ServeError};
 use std::collections::{HashMap, VecDeque};
@@ -46,6 +47,19 @@ impl std::error::Error for RouteError {}
 impl From<QueryError> for RouteError {
     fn from(q: QueryError) -> RouteError {
         RouteError::Query(q)
+    }
+}
+
+impl From<ServeError> for RouteError {
+    fn from(e: ServeError) -> RouteError {
+        match e {
+            ServeError::Query(q) => RouteError::Query(q),
+            ServeError::UnknownEdgeId { id } => RouteError::BadEdge(id),
+            ServeError::VertexOutOfRange { v } => RouteError::BadVertex(v),
+            ServeError::Corrupt(e) => RouteError::Corrupt(e),
+            // Endpoint-pair faults are never used on the routing path.
+            ServeError::UnknownEdge { .. } => unreachable!("routing names faults by edge ID"),
+        }
     }
 }
 
@@ -106,8 +120,7 @@ pub struct TableReport {
 pub struct ForbiddenSetRouter {
     g: Graph,
     aux: AuxGraph,
-    /// Label-backed connectivity service (always `Backing::Owned`, so
-    /// [`ForbiddenSetRouter::labels`] can hand out the label set).
+    /// Connectivity service over the labeling's v1 archive.
     service: ConnectivityService,
     size: SizeReport,
     /// pre-order (in `T′`) → auxiliary vertex.
@@ -132,15 +145,19 @@ impl ForbiddenSetRouter {
     /// Propagates [`BuildError`] from the labeling construction.
     pub fn with_params(g: &Graph, params: &Params) -> Result<ForbiddenSetRouter, BuildError> {
         let tree = RootedTree::bfs(g, 0);
-        let scheme = FtcScheme::builder(g).params(params).tree(&tree).build()?;
-        let size = scheme.size_report();
-        Ok(Self::assemble(g, &tree, scheme.into_labels(), size))
+        let (store, diag) = FtcScheme::builder(g)
+            .params(params)
+            .tree(&tree)
+            .build_store(EdgeEncoding::Full)?;
+        let aux = AuxGraph::build(g, &tree);
+        let service = ConnectivityService::from_store(store);
+        Ok(Self::assemble(g, aux, service, diag.k, diag.levels))
     }
 
     /// Reconstitutes a router from a stored label archive, skipping the
-    /// scheme construction entirely: the hierarchy and outdetect labels
-    /// are decoded from the archive, and only the (cheap, deterministic)
-    /// spanning-forest/auxiliary-graph structure is rebuilt from `g`.
+    /// scheme construction entirely: the archive is served as-is, and
+    /// only the (cheap, deterministic) spanning-forest/auxiliary-graph
+    /// structure is rebuilt from `g`.
     ///
     /// # Errors
     ///
@@ -161,11 +178,10 @@ impl ForbiddenSetRouter {
         if store.header().aux_n as usize != aux.aux_n {
             return Err(RestoreError::LabelingMismatch);
         }
-        let labels = store.to_label_set();
         // The archive must carry this graph's labels, not merely one of
         // the same shape: every vertex's ancestry label must match the
         // structure derived from `g`.
-        if (0..g.n()).any(|v| labels.vertex_label(v).anc != aux.anc[v]) {
+        if (0..g.n()).any(|v| store.vertex(v).map(|l| l.anc()) != Some(aux.anc[v])) {
             return Err(RestoreError::LabelingMismatch);
         }
         // And the archive's edge-ID assignment must match `g`'s edge
@@ -184,50 +200,53 @@ impl ForbiddenSetRouter {
         {
             return Err(RestoreError::LabelingMismatch);
         }
-        let (k, levels) = labels
-            .edge_labels()
-            .next()
-            .map_or((0, 0), |e| (e.vec.k(), e.vec.levels()));
-        let size = labels.size_report(k, levels);
-        let mut pre_to_aux = vec![usize::MAX; aux.aux_n];
-        for v in 0..aux.aux_n {
-            pre_to_aux[aux.anc[v].pre as usize] = v;
-        }
-        Ok(ForbiddenSetRouter {
-            g: g.clone(),
-            aux,
-            service: ConnectivityService::from_labels(labels),
-            size,
-            pre_to_aux,
-        })
+        let service = ConnectivityService::from_view(store);
+        Ok(Self::assemble(g, aux, service, store.k(), store.levels()))
     }
 
     fn assemble(
         g: &Graph,
-        tree: &RootedTree,
-        labels: LabelSet<RsVector>,
-        size: SizeReport,
+        aux: AuxGraph,
+        service: ConnectivityService,
+        k: usize,
+        levels: usize,
     ) -> ForbiddenSetRouter {
-        let aux = AuxGraph::build(g, tree);
         let mut pre_to_aux = vec![usize::MAX; aux.aux_n];
         for v in 0..aux.aux_n {
             pre_to_aux[aux.anc[v].pre as usize] = v;
         }
+        // Label sizes follow from the archive geometry alone: every vertex
+        // label is a header plus one ancestry label, every edge label a
+        // header, two ancestry labels and `2k · levels` syndrome words.
+        let (n, m) = (g.n(), g.m());
+        let header_bits = 32 + 32 + 64;
+        let vertex_bits = if n > 0 {
+            header_bits + AncestryLabel::ENCODED_BITS
+        } else {
+            0
+        };
+        let edge_bits = if m > 0 {
+            header_bits + 2 * AncestryLabel::ENCODED_BITS + 2 * k * levels * 64
+        } else {
+            0
+        };
+        let size = SizeReport {
+            n,
+            m,
+            aux_n: aux.aux_n,
+            k,
+            levels,
+            vertex_bits,
+            edge_bits,
+            total_bits: n * vertex_bits + m * edge_bits,
+        };
         ForbiddenSetRouter {
             g: g.clone(),
             aux,
-            service: ConnectivityService::from_labels(labels),
+            service,
             size,
             pre_to_aux,
         }
-    }
-
-    /// The labeling this router queries (the artifact worth archiving
-    /// via [`ftc_core::store::LabelStore`]).
-    pub fn labels(&self) -> &LabelSet<RsVector> {
-        self.service
-            .labels()
-            .expect("router services are label-backed")
     }
 
     /// The shared [`ConnectivityService`] this router queries through —
@@ -270,10 +289,9 @@ impl ForbiddenSetRouter {
         if let Some(&e) = faults.iter().find(|&&e| e >= self.g.m()) {
             return Err(RouteError::BadEdge(e));
         }
-        let l = self.labels();
         // Trivial queries answer before the session's budget enforcement,
         // matching the original decoder's check order.
-        match ftc_core::QuerySession::trivial_answer(l.vertex_label(s), l.vertex_label(t))? {
+        match self.service.trivial_answer(s, t)? {
             Some(false) => return Ok(None),
             Some(true) => return Ok(Some(vec![s])),
             None => {}
@@ -282,20 +300,10 @@ impl ForbiddenSetRouter {
         // and the merge engine run once, and the session's fragment
         // decomposition is reused below for path expansion. The session's
         // storage comes from — and returns to — the service's pool.
-        self.service
-            .with_session_ids(faults, |served| {
-                self.expand_route(served.session(), s, t, faults)
-            })
-            .map_err(|e| match e {
-                ServeError::Query(q) => RouteError::Query(q),
-                ServeError::UnknownEdgeId { id } => RouteError::BadEdge(id),
-                ServeError::VertexOutOfRange { v } => RouteError::BadVertex(v),
-                ServeError::Corrupt(e) => RouteError::Corrupt(e),
-                // Endpoint-pair faults are never used on this path.
-                ServeError::UnknownEdge { .. } => {
-                    unreachable!("routing names faults by edge ID")
-                }
-            })?
+        self.service.with_session_ids(faults, |served| {
+            let cert = served.certified(s, t)?;
+            Ok(cert.map(|cert| self.expand_route(served.session(), cert, s, t, faults)))
+        })?
     }
 
     /// Expands a prepared session's certificate into an explicit
@@ -303,15 +311,11 @@ impl ForbiddenSetRouter {
     fn expand_route(
         &self,
         session: &ftc_core::QuerySession,
+        cert: &[(u32, u32)],
         s: VertexId,
         t: VertexId,
         faults: &[EdgeId],
-    ) -> Result<Option<Vec<VertexId>>, RouteError> {
-        let l = self.labels();
-        let Some(cert) = session.certified(l.vertex_label(s), l.vertex_label(t))? else {
-            return Ok(None);
-        };
-
+    ) -> Vec<VertexId> {
         // Fragment multigraph from the certificate edges.
         let frags = session.fragments();
         let frag_of = |aux_v: VertexId| frags.locate(&self.aux.anc[aux_v]);
@@ -323,7 +327,7 @@ impl ForbiddenSetRouter {
                 .tree
                 .tree_path(s, t)
                 .expect("same fragment implies same component");
-            return Ok(Some(self.contract(&aux_path, faults)));
+            return self.contract(&aux_path, faults);
         }
 
         // BFS over fragments along certificate edges.
@@ -409,7 +413,7 @@ impl ForbiddenSetRouter {
             .expect("t's fragment reached");
         aux_path.extend_from_slice(&seg[1..]);
 
-        Ok(Some(self.contract(&aux_path, faults)))
+        self.contract(&aux_path, faults)
     }
 
     /// Contracts subdivision vertices out of an auxiliary-graph path and
@@ -446,13 +450,12 @@ impl ForbiddenSetRouter {
     /// the labels of its incident edges (to report/forward failures), and
     /// one ancestry interval per port (tree next-hop routing).
     pub fn table_report(&self) -> TableReport {
-        let l = self.labels();
         let mut total = 0usize;
         let mut max_local = 0usize;
         for v in 0..self.g.n() {
-            let mut bits = l.vertex_label(v).bits();
-            for &e in self.g.incident_edges(v) {
-                bits += l.edge_label_by_id(e).bits();
+            let mut bits = self.size.vertex_bits;
+            for _ in self.g.incident_edges(v) {
+                bits += self.size.edge_bits;
                 bits += 2 * 32; // port interval for tree routing
             }
             total += bits;
@@ -562,10 +565,11 @@ mod tests {
 
     #[test]
     fn reconstituted_router_routes_identically() {
-        use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
+        use ftc_core::store::LabelStore;
         let g = Graph::torus(4, 4);
         let built = ForbiddenSetRouter::new(&g, 2).unwrap();
-        let blob = LabelStore::to_vec(built.labels(), EdgeEncoding::Compact);
+        let full = built.service().archive().clone().into_v1().unwrap();
+        let blob = LabelStore::to_vec(&full.to_label_set(), EdgeEncoding::Compact);
         let view = LabelStoreView::open(&blob).unwrap();
         let restored = ForbiddenSetRouter::from_store(&g, &view).unwrap();
         assert_eq!(restored.size_report(), built.size_report());
@@ -584,11 +588,9 @@ mod tests {
 
     #[test]
     fn reconstitution_rejects_foreign_archives() {
-        use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
         let g = Graph::torus(4, 4);
         let router = ForbiddenSetRouter::new(&g, 2).unwrap();
-        let blob = LabelStore::to_vec(router.labels(), EdgeEncoding::Full);
-        let view = LabelStoreView::open(&blob).unwrap();
+        let view = router.service().archive().clone().into_v1().unwrap();
         // Wrong shape.
         let other = Graph::cycle(5);
         assert!(matches!(
@@ -607,14 +609,12 @@ mod tests {
 
     #[test]
     fn reconstitution_rejects_permuted_edge_ids() {
-        use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView};
         // Identical edge *set* but a different edge-ID assignment: fault
         // IDs would resolve to the wrong archived labels, so the
         // endpoint-index check must reject the archive.
         let g = ftc_graph::generators::random_connected(10, 6, 0);
         let router = ForbiddenSetRouter::new(&g, 1).unwrap();
-        let blob = LabelStore::to_vec(router.labels(), EdgeEncoding::Full);
-        let view = LabelStoreView::open(&blob).unwrap();
+        let view = router.service().archive().clone().into_v1().unwrap();
         let mut edges: Vec<(usize, usize)> = g.edge_iter().map(|(_, u, v)| (u, v)).collect();
         edges.swap(0, 1);
         let permuted = Graph::from_edges(g.n(), &edges);
@@ -670,6 +670,42 @@ mod tests {
         assert_eq!(router.route(9, 0, &[]), Err(RouteError::BadVertex(9)));
         assert_eq!(router.route(0, 9, &[]), Err(RouteError::BadVertex(9)));
         assert_eq!(router.route(0, 1, &[99]), Err(RouteError::BadEdge(99)));
+    }
+
+    #[test]
+    fn reports_match_the_label_accounting() {
+        // Size and table reports derive from the archive geometry; they
+        // must equal the accounting over the owned labels of the same
+        // build.
+        let cases = [
+            (Graph::torus(4, 4), 2),
+            (Graph::grid(3, 3), 1),
+            (Graph::cycle(8), 3),
+            (ftc_graph::generators::random_connected(20, 15, 4), 2),
+        ];
+        for (g, f) in cases {
+            let router = ForbiddenSetRouter::new(&g, f).unwrap();
+            let scheme = FtcScheme::build(&g, &Params::deterministic(f)).unwrap();
+            assert_eq!(router.size_report(), scheme.size_report());
+            let l = scheme.labels();
+            let per_node: Vec<usize> = (0..g.n())
+                .map(|v| {
+                    l.vertex_label(v).bits()
+                        + g.incident_edges(v)
+                            .iter()
+                            .map(|&e| l.edge_label_by_id(e).bits() + 2 * 32)
+                            .sum::<usize>()
+                })
+                .collect();
+            assert_eq!(
+                router.table_report(),
+                TableReport {
+                    total_bits: per_node.iter().sum(),
+                    max_local_bits: per_node.iter().copied().max().unwrap(),
+                    n: g.n(),
+                }
+            );
+        }
     }
 
     #[test]

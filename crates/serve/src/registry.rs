@@ -145,7 +145,7 @@ impl ServiceRegistry {
 
     /// Opens a label archive of either format from `path` — v1 blobs
     /// and v2 compressed containers alike, memory-mapped where the
-    /// platform allows — builds the matching service backing, and
+    /// platform allows — wraps it in a service, and
     /// registers it under `id` (replacing any previous registration).
     /// Returns a handle to the new service.
     ///
@@ -284,8 +284,11 @@ mod tests {
 
         let reg = ServiceRegistry::new();
         let svc = reg.open_path("cycle8", &path).unwrap();
-        assert_eq!(svc.encoding(), Some(EdgeEncoding::Compact));
-        assert!(!svc.is_compressed());
+        assert_eq!(svc.archive().encoding(), EdgeEncoding::Compact);
+        assert_eq!(
+            svc.archive().archive_bytes() as u64,
+            std::fs::metadata(&path).unwrap().len()
+        );
         assert!(reg.contains("cycle8"));
         assert!(svc.query(&[(0, 1)], &[(0, 4)]).unwrap().all_connected());
 
@@ -294,13 +297,10 @@ mod tests {
         let v2_path = dir.join("cycle8.ftcz");
         let blob = std::fs::read(&path).unwrap();
         let v1 = ftc_core::store::LabelStoreView::open(&blob).unwrap();
-        std::fs::write(
-            &v2_path,
-            ftc_core::compressed::compress_archive(&v1).as_bytes(),
-        )
-        .unwrap();
+        let v2 = ftc_core::compressed::compress_archive(&v1);
+        std::fs::write(&v2_path, v2.as_bytes()).unwrap();
         let zsvc = reg.open_path("cycle8z", &v2_path).unwrap();
-        assert!(zsvc.is_compressed());
+        assert_eq!(zsvc.archive().archive_bytes(), v2.as_bytes().len());
         assert_eq!(
             zsvc.query(&[(0, 1)], &[(0, 4)]).unwrap(),
             svc.query(&[(0, 1)], &[(0, 4)]).unwrap()

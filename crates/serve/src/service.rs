@@ -7,7 +7,6 @@ use ftc_core::serial::VertexLabelView;
 use ftc_core::store::{EdgeEncoding, LabelStore, LabelStoreView, StoreError, StoreOpenError};
 use ftc_core::{
     Certificate, LabelHeader, LabelSet, QueryError, QuerySession, RsVector, SerialError,
-    VertexLabel, VertexLabelRead,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -36,7 +35,7 @@ pub enum ServeError {
     /// The underlying session construction or query failed.
     Query(QueryError),
     /// A lazily-validated archive section failed its checksum or decode
-    /// on first touch (compressed backings only).
+    /// on first touch (compressed archives only).
     Corrupt(SerialError),
 }
 
@@ -75,147 +74,20 @@ impl From<StoreError> for ServeError {
     }
 }
 
-/// A vertex label resolved out of a service — owned-label reference or
-/// zero-copy archive view, behind one [`VertexLabelRead`] implementor.
-#[derive(Clone, Copy, Debug)]
-pub enum VertexRef<'a> {
-    /// A reference into an owned [`LabelSet`].
-    Owned(&'a VertexLabel),
-    /// A zero-copy view into an archive blob.
-    Archived(VertexLabelView<'a>),
-}
-
-impl VertexLabelRead for VertexRef<'_> {
-    fn header(&self) -> LabelHeader {
-        match self {
-            VertexRef::Owned(l) => l.header,
-            VertexRef::Archived(v) => v.header(),
-        }
-    }
-
-    fn anc(&self) -> ftc_core::ancestry::AncestryLabel {
-        match self {
-            VertexRef::Owned(l) => l.anc,
-            VertexRef::Archived(v) => v.anc(),
-        }
+impl From<SerialError> for ServeError {
+    fn from(e: SerialError) -> ServeError {
+        ServeError::Corrupt(e)
     }
 }
 
-/// What a service holds: an owned label set, a `'static` shared view
-/// over an uncompressed archive blob, or a lazily-decoded view over a
-/// v2 compressed archive.
-#[derive(Debug)]
-enum Backing {
-    Owned(LabelSet<RsVector>),
-    Archive(LabelStoreView<'static>),
-    Compressed(CompressedStoreView),
-}
-
-impl Backing {
-    fn n(&self) -> usize {
-        match self {
-            Backing::Owned(l) => l.n(),
-            Backing::Archive(v) => v.n(),
-            Backing::Compressed(v) => v.n(),
-        }
-    }
-
-    fn m(&self) -> usize {
-        match self {
-            Backing::Owned(l) => l.m(),
-            Backing::Archive(v) => v.m(),
-            Backing::Compressed(v) => v.m(),
-        }
-    }
-
-    fn header(&self) -> LabelHeader {
-        match self {
-            Backing::Owned(l) => l.header(),
-            Backing::Archive(v) => v.header(),
-            Backing::Compressed(v) => v.header(),
-        }
-    }
-
-    fn vertex(&self, v: usize) -> Result<Option<VertexRef<'_>>, ServeError> {
-        match self {
-            Backing::Owned(l) => {
-                if v < l.n() {
-                    Ok(Some(VertexRef::Owned(l.vertex_label(v))))
-                } else {
-                    Ok(None)
-                }
-            }
-            Backing::Archive(view) => Ok(view.vertex(v).map(VertexRef::Archived)),
-            Backing::Compressed(view) => Ok(view
-                .vertex(v)
-                .map_err(ServeError::Corrupt)?
-                .map(VertexRef::Archived)),
-        }
-    }
-
-    fn has_edge(&self, u: usize, v: usize) -> Result<bool, ServeError> {
-        match self {
-            Backing::Owned(l) => Ok(l.edge_label(u, v).is_some()),
-            Backing::Archive(view) => Ok(view.edge_id(u, v).is_some()),
-            Backing::Compressed(view) => {
-                Ok(view.edge_id(u, v).map_err(ServeError::Corrupt)?.is_some())
-            }
-        }
-    }
-
-    fn build_session(
-        &self,
-        faults: &[(usize, usize)],
-        scratch: &mut ftc_core::SessionScratch<RsVector>,
-    ) -> Result<QuerySession, ServeError> {
-        match self {
-            Backing::Owned(l) => {
-                // Existence was validated eagerly; the unwrap is the
-                // pre-checked lookup repeated.
-                let session = l.session_in(
-                    faults
-                        .iter()
-                        .map(|&(u, v)| l.edge_label(u, v).expect("fault edges validated eagerly")),
-                    scratch,
-                )?;
-                Ok(session)
-            }
-            Backing::Archive(view) => Ok(view.session_in(faults.iter().copied(), scratch)?),
-            Backing::Compressed(view) => Ok(view.session_in(faults.iter().copied(), scratch)?),
-        }
-    }
-
-    fn build_session_ids(
-        &self,
-        faults: &[usize],
-        scratch: &mut ftc_core::SessionScratch<RsVector>,
-    ) -> Result<QuerySession, ServeError> {
-        match self {
-            Backing::Owned(l) => {
-                let session =
-                    l.session_in(faults.iter().map(|&e| l.edge_label_by_id(e)), scratch)?;
-                Ok(session)
-            }
-            Backing::Archive(view) => {
-                let session = QuerySession::new_in(
-                    view.header(),
-                    faults
-                        .iter()
-                        .map(|&e| view.edge_by_id(e).expect("fault IDs validated eagerly")),
-                    scratch,
-                )?;
-                Ok(session)
-            }
-            Backing::Compressed(view) => {
-                Ok(view.session_in_by_ids(faults.iter().copied(), scratch)?)
-            }
-        }
-    }
+/// Resolves vertex `v` out of `archive`, out-of-range as an error.
+fn resolve(archive: &AnyArchive, v: usize) -> Result<VertexLabelView<'_>, ServeError> {
+    archive.vertex(v)?.ok_or(ServeError::VertexOutOfRange { v })
 }
 
 #[derive(Debug)]
 struct Inner {
-    backing: Backing,
+    archive: AnyArchive,
     pool: ScratchPool,
 }
 
@@ -269,10 +141,10 @@ impl<'a> IntoIterator for &'a Answers {
 
 /// A prepared fault set inside [`ConnectivityService::with_session`] /
 /// [`ConnectivityService::with_session_ids`]: the session plus vertex
-/// resolution against the service's backing.
+/// resolution against the service's archive.
 #[derive(Clone, Copy, Debug)]
 pub struct Served<'a> {
-    backing: &'a Backing,
+    archive: &'a AnyArchive,
     session: &'a QuerySession,
 }
 
@@ -283,15 +155,15 @@ impl<'a> Served<'a> {
         self.session
     }
 
-    /// The label of vertex `v`, resolved from the service's backing;
+    /// The label of vertex `v`, resolved from the service's archive;
     /// `Ok(None)` when `v` is out of range.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Corrupt`] if a compressed backing's vertex section
+    /// [`ServeError::Corrupt`] if a compressed archive's vertex section
     /// fails lazy validation.
-    pub fn vertex(&self, v: usize) -> Result<Option<VertexRef<'a>>, ServeError> {
-        self.backing.vertex(v)
+    pub fn vertex(&self, v: usize) -> Result<Option<VertexLabelView<'a>>, ServeError> {
+        Ok(self.archive.vertex(v)?)
     }
 
     /// Answers one s–t query by vertex ID.
@@ -311,23 +183,18 @@ impl<'a> Served<'a> {
     ///
     /// Same conditions as [`Served::connected`].
     pub fn certified(&self, s: usize, t: usize) -> Result<Option<&'a [(u32, u32)]>, ServeError> {
-        let vs = self
-            .backing
-            .vertex(s)?
-            .ok_or(ServeError::VertexOutOfRange { v: s })?;
-        let vt = self
-            .backing
-            .vertex(t)?
-            .ok_or(ServeError::VertexOutOfRange { v: t })?;
+        let (vs, vt) = (resolve(self.archive, s)?, resolve(self.archive, t)?);
         Ok(self.session.certified(vs, vt)?)
     }
 }
 
 /// A shareable, thread-safe connectivity serving handle.
 ///
-/// Built once from an owned [`LabelSet`], an opened [`LabelStoreView`],
-/// a [`LabelStore`], or raw archive bytes (held as `Arc<[u8]>`, so every
-/// internal view is `'static`), the service is `Send + Sync + Clone`:
+/// The service serves one [`AnyArchive`] — a v1 archive (opened from a
+/// file, a [`LabelStoreView`], a [`LabelStore`], raw bytes held as
+/// `Arc<[u8]>`, or an owned [`LabelSet`] archived on the way in) or a v2
+/// compressed archive — so every internal view is `'static`, and the
+/// service is `Send + Sync + Clone`:
 /// clone the handle into as many threads as needed, and every
 /// [`ConnectivityService::query`] call internally checks a
 /// [`ftc_core::SessionScratch`] out of a lock-free pool — concurrent
@@ -365,22 +232,24 @@ pub struct ConnectivityService {
 }
 
 impl ConnectivityService {
-    fn with_backing(backing: Backing) -> ConnectivityService {
+    /// A service over an opened archive of either format.
+    pub fn from_archive(archive: AnyArchive) -> ConnectivityService {
         let slots = std::thread::available_parallelism()
             .map(|p| p.get() * 2)
             .unwrap_or(8)
             .clamp(4, 64);
         ConnectivityService {
             inner: Arc::new(Inner {
-                backing,
+                archive,
                 pool: ScratchPool::new(slots),
             }),
         }
     }
 
-    /// A service over an owned label set.
+    /// A service over an owned label set, archived once with the full
+    /// edge encoding.
     pub fn from_labels(labels: LabelSet<RsVector>) -> ConnectivityService {
-        Self::with_backing(Backing::Owned(labels))
+        Self::from_store(LabelStore::archive(&labels, EdgeEncoding::Full))
     }
 
     /// A service over raw archive bytes: the blob moves into an
@@ -393,7 +262,7 @@ impl ConnectivityService {
     pub fn from_archive_bytes(
         bytes: impl Into<Arc<[u8]>>,
     ) -> Result<ConnectivityService, SerialError> {
-        Ok(Self::with_backing(Backing::Archive(
+        Ok(Self::from_archive(AnyArchive::V1(
             LabelStoreView::open_shared(bytes)?,
         )))
     }
@@ -401,25 +270,24 @@ impl ConnectivityService {
     /// A service over an already-validated [`LabelStore`] (no
     /// re-validation; the blob is shared, not copied).
     pub fn from_store(store: LabelStore) -> ConnectivityService {
-        Self::with_backing(Backing::Archive(store.into_shared_view()))
+        Self::from_archive(AnyArchive::V1(store.into_shared_view()))
     }
 
     /// A service over an opened [`LabelStoreView`]: a shared view clones
     /// its `Arc` (O(1)); a borrowed view copies the blob once.
     pub fn from_view(view: &LabelStoreView<'_>) -> ConnectivityService {
-        Self::with_backing(Backing::Archive(view.to_shared()))
+        Self::from_archive(AnyArchive::V1(view.to_shared()))
     }
 
     /// A service over a v2 compressed archive view: sections decode
     /// lazily on first touch and stay cached for the service's lifetime.
     pub fn from_compressed(view: CompressedStoreView) -> ConnectivityService {
-        Self::with_backing(Backing::Compressed(view))
+        Self::from_archive(AnyArchive::V2(view))
     }
 
     /// Opens an archive file of either format (memory-mapped where the
-    /// platform allows) and wraps it in a service: v1 archives get the
-    /// fully validated zero-copy backing, v2 archives the lazily-decoded
-    /// compressed backing.
+    /// platform allows) and wraps it in a service: v1 archives are fully
+    /// validated at open, v2 archives decode lazily.
     ///
     /// # Errors
     ///
@@ -427,47 +295,27 @@ impl ConnectivityService {
     pub fn open_path(
         path: impl AsRef<std::path::Path>,
     ) -> Result<ConnectivityService, StoreOpenError> {
-        Ok(match ftc_core::compressed::open_path(path)? {
-            AnyArchive::V1(view) => Self::with_backing(Backing::Archive(view)),
-            AnyArchive::V2(view) => Self::with_backing(Backing::Compressed(view)),
-        })
+        Ok(Self::from_archive(ftc_core::compressed::open_path(path)?))
+    }
+
+    /// The served archive (format, encoding, geometry, size).
+    pub fn archive(&self) -> &AnyArchive {
+        &self.inner.archive
     }
 
     /// Number of served vertex labels.
     pub fn n(&self) -> usize {
-        self.inner.backing.n()
+        self.inner.archive.n()
     }
 
     /// Number of served edge labels.
     pub fn m(&self) -> usize {
-        self.inner.backing.m()
+        self.inner.archive.m()
     }
 
     /// The shared labeling header (fault budget `f` in `header().f`).
     pub fn header(&self) -> LabelHeader {
-        self.inner.backing.header()
-    }
-
-    /// The archive encoding, when the service is archive-backed.
-    pub fn encoding(&self) -> Option<EdgeEncoding> {
-        match &self.inner.backing {
-            Backing::Owned(_) => None,
-            Backing::Archive(v) => Some(v.encoding()),
-            Backing::Compressed(v) => Some(v.encoding()),
-        }
-    }
-
-    /// `true` when the service serves a v2 compressed archive.
-    pub fn is_compressed(&self) -> bool {
-        matches!(&self.inner.backing, Backing::Compressed(_))
-    }
-
-    /// The owned label set, when the service is label-backed.
-    pub fn labels(&self) -> Option<&LabelSet<RsVector>> {
-        match &self.inner.backing {
-            Backing::Owned(l) => Some(l),
-            Backing::Archive(_) | Backing::Compressed(_) => None,
-        }
+        self.inner.archive.header()
     }
 
     /// Answers a pair without preparing a fault set at all:
@@ -480,16 +328,8 @@ impl ConnectivityService {
     ///
     /// [`ServeError::VertexOutOfRange`] on bad vertex IDs.
     pub fn trivial_answer(&self, s: usize, t: usize) -> Result<Option<bool>, ServeError> {
-        let vs = self
-            .inner
-            .backing
-            .vertex(s)?
-            .ok_or(ServeError::VertexOutOfRange { v: s })?;
-        let vt = self
-            .inner
-            .backing
-            .vertex(t)?
-            .ok_or(ServeError::VertexOutOfRange { v: t })?;
+        let archive = &self.inner.archive;
+        let (vs, vt) = (resolve(archive, s)?, resolve(archive, t)?);
         Ok(QuerySession::trivial_answer(&vs, &vt)?)
     }
 
@@ -528,6 +368,16 @@ impl ConnectivityService {
         self.answer(faults, pairs, |cert| cert.map(<[(u32, u32)]>::to_vec))
     }
 
+    /// Eager fault validation shared by the endpoint-pair entry points.
+    fn check_faults(&self, faults: &[(usize, usize)]) -> Result<(), ServeError> {
+        for &(u, v) in faults {
+            if self.inner.archive.edge_id(u, v)?.is_none() {
+                return Err(ServeError::UnknownEdge { u, v });
+            }
+        }
+        Ok(())
+    }
+
     /// Shared implementation of the query entry points: eager fault
     /// validation, the trivial pass, then one pooled session build for
     /// the remaining pairs, mapped through `extract`.
@@ -537,17 +387,12 @@ impl ConnectivityService {
         pairs: &[(usize, usize)],
         mut extract: impl FnMut(Option<&[(u32, u32)]>) -> R,
     ) -> Result<Vec<R>, ServeError> {
-        let backing = &self.inner.backing;
-        for &(u, v) in faults {
-            if !backing.has_edge(u, v)? {
-                return Err(ServeError::UnknownEdge { u, v });
-            }
-        }
-        let resolve = |v: usize| backing.vertex(v)?.ok_or(ServeError::VertexOutOfRange { v });
+        let archive = &self.inner.archive;
+        self.check_faults(faults)?;
         let mut out: Vec<Option<R>> = Vec::with_capacity(pairs.len());
         let mut nontrivial = Vec::new();
         for &(s, t) in pairs {
-            let (vs, vt) = (resolve(s)?, resolve(t)?);
+            let (vs, vt) = (resolve(archive, s)?, resolve(archive, t)?);
             match QuerySession::trivial_answer(&vs, &vt)? {
                 Some(true) => out.push(Some(extract(Some(&[])))),
                 Some(false) => out.push(Some(extract(None))),
@@ -558,33 +403,17 @@ impl ConnectivityService {
             }
         }
         if !nontrivial.is_empty() {
-            let mut scratch = self.inner.pool.checkout();
-            let session = match backing.build_session(faults, &mut scratch) {
-                Ok(session) => session,
-                Err(e) => {
-                    self.inner.pool.put_back(scratch);
-                    return Err(e);
-                }
-            };
-            let mut answered = nontrivial
-                .iter()
-                .map(|(vs, vt)| session.certified(vs, vt).map(&mut extract));
-            let mut failed: Option<QueryError> = None;
-            for slot in out.iter_mut().filter(|s| s.is_none()) {
-                match answered.next().expect("one answer per nontrivial pair") {
-                    Ok(r) => *slot = Some(r),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
+            self.run_session(
+                |archive, scratch| archive.session_in(faults.iter().copied(), scratch),
+                |served| {
+                    let mut pending = nontrivial.iter();
+                    for slot in out.iter_mut().filter(|s| s.is_none()) {
+                        let (vs, vt) = pending.next().expect("one nontrivial pair per slot");
+                        *slot = Some(extract(served.session.certified(vs, vt)?));
                     }
-                }
-            }
-            drop(answered);
-            scratch.recycle(session);
-            self.inner.pool.put_back(scratch);
-            if let Some(e) = failed {
-                return Err(e.into());
-            }
+                    Ok::<_, QueryError>(())
+                },
+            )??;
         }
         Ok(out
             .into_iter()
@@ -606,13 +435,11 @@ impl ConnectivityService {
         faults: &[(usize, usize)],
         f: impl FnOnce(Served<'_>) -> R,
     ) -> Result<R, ServeError> {
-        let backing = &self.inner.backing;
-        for &(u, v) in faults {
-            if !backing.has_edge(u, v)? {
-                return Err(ServeError::UnknownEdge { u, v });
-            }
-        }
-        self.run_session(|scratch| backing.build_session(faults, scratch), f)
+        self.check_faults(faults)?;
+        self.run_session(
+            |archive, scratch| archive.session_in(faults.iter().copied(), scratch),
+            f,
+        )
     }
 
     /// Like [`ConnectivityService::with_session`], naming faults by
@@ -628,28 +455,34 @@ impl ConnectivityService {
         faults: &[usize],
         f: impl FnOnce(Served<'_>) -> R,
     ) -> Result<R, ServeError> {
-        let backing = &self.inner.backing;
-        if let Some(&id) = faults.iter().find(|&&e| e >= backing.m()) {
+        if let Some(&id) = faults.iter().find(|&&e| e >= self.m()) {
             return Err(ServeError::UnknownEdgeId { id });
         }
-        self.run_session(|scratch| backing.build_session_ids(faults, scratch), f)
+        self.run_session(
+            |archive, scratch| archive.session_in_by_ids(faults.iter().copied(), scratch),
+            f,
+        )
     }
 
     fn run_session<R>(
         &self,
-        build: impl FnOnce(&mut ftc_core::SessionScratch<RsVector>) -> Result<QuerySession, ServeError>,
+        build: impl FnOnce(
+            &AnyArchive,
+            &mut ftc_core::SessionScratch<RsVector>,
+        ) -> Result<QuerySession, StoreError>,
         f: impl FnOnce(Served<'_>) -> R,
     ) -> Result<R, ServeError> {
+        let archive = &self.inner.archive;
         let mut scratch = self.inner.pool.checkout();
-        let session = match build(&mut scratch) {
+        let session = match build(archive, &mut scratch) {
             Ok(session) => session,
             Err(e) => {
                 self.inner.pool.put_back(scratch);
-                return Err(e);
+                return Err(e.into());
             }
         };
         let r = f(Served {
-            backing: &self.inner.backing,
+            archive,
             session: &session,
         });
         scratch.recycle(session);
@@ -659,12 +492,12 @@ impl ConnectivityService {
 }
 
 // Compile-time guarantees, not vibes: the service contract is
-// `Send + Sync + Clone`, and both backings must stay that way.
+// `Send + Sync + Clone`, and the archive it serves must stay that way.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_clone<T: Clone>() {}
     assert_send_sync::<ConnectivityService>();
-    assert_send_sync::<Backing>();
+    assert_send_sync::<AnyArchive>();
     assert_send_sync::<Answers>();
     assert_send_sync::<ServeError>();
     assert_clone::<ConnectivityService>();
@@ -701,10 +534,8 @@ mod tests {
     fn compressed_backing_answers_like_the_others() {
         let owned = torus_service(None);
         let compressed = torus_service_compressed(EdgeEncoding::Full);
-        assert!(compressed.is_compressed());
-        assert!(!owned.is_compressed());
-        assert_eq!(compressed.encoding(), Some(EdgeEncoding::Full));
-        assert!(compressed.labels().is_none());
+        assert_eq!(compressed.archive().encoding(), EdgeEncoding::Full);
+        assert!(compressed.archive().archive_bytes() < owned.archive().archive_bytes());
         let faults = [(0usize, 1usize), (0, 4)];
         let pairs: Vec<(usize, usize)> =
             (0..12).flat_map(|s| (0..12).map(move |t| (s, t))).collect();
@@ -725,25 +556,67 @@ mod tests {
 
     #[test]
     fn all_backings_answer_identically() {
-        let owned = torus_service(None);
-        let full = torus_service(Some(EdgeEncoding::Full));
-        let compact = torus_service(Some(EdgeEncoding::Compact));
-        assert!(owned.labels().is_some());
-        assert_eq!(owned.encoding(), None);
-        assert_eq!(full.encoding(), Some(EdgeEncoding::Full));
+        // Owned labels (archived on the way in) and v1-full, v1-compact
+        // and v2 files opened from disk answer every entry point alike.
+        let g = Graph::torus(3, 4);
+        let scheme = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
+        let full = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Full);
+        let compact = LabelStore::to_vec(scheme.labels(), EdgeEncoding::Compact);
+        let v2 = ftc_core::compressed::compress_archive(&LabelStoreView::open(&full).unwrap());
+        let dir = std::env::temp_dir().join(format!("ftc_service_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut services = vec![ConnectivityService::from_labels(scheme.into_labels())];
+        for (name, bytes) in [
+            ("full.ftc", &full[..]),
+            ("compact.ftc", &compact[..]),
+            ("full.ftcz", v2.as_bytes()),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            let svc = ConnectivityService::open_path(&path).unwrap();
+            assert_eq!(svc.archive().archive_bytes(), bytes.len(), "{name}");
+            services.push(svc);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(services[0].archive().encoding(), EdgeEncoding::Full);
+        assert_eq!(services[2].archive().encoding(), EdgeEncoding::Compact);
+
         let faults = [(0usize, 1usize), (0, 4)];
+        let ids: Vec<usize> = faults
+            .iter()
+            .map(|&(u, v)| g.find_edge(u, v).unwrap())
+            .collect();
         let pairs: Vec<(usize, usize)> =
             (0..12).flat_map(|s| (0..12).map(move |t| (s, t))).collect();
-        let a = owned.query(&faults, &pairs).unwrap();
-        let b = full.query(&faults, &pairs).unwrap();
-        let c = compact.query(&faults, &pairs).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        assert_eq!(a.len(), pairs.len());
-        // Certified variant agrees on existence.
-        let certs = owned.query_certified(&faults, &pairs).unwrap();
-        for (cert, ans) in certs.iter().zip(&a) {
+        let by_ids = |svc: &ConnectivityService| {
+            svc.with_session_ids(&ids, |served| {
+                pairs
+                    .iter()
+                    .map(|&(s, t)| served.certified(s, t).unwrap().map(<[(u32, u32)]>::to_vec))
+                    .collect::<Vec<_>>()
+            })
+            .unwrap()
+        };
+        let trivial = |svc: &ConnectivityService| {
+            pairs
+                .iter()
+                .map(|&(s, t)| svc.trivial_answer(s, t).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let reference = &services[0];
+        let answers = reference.query(&faults, &pairs).unwrap();
+        let certs = reference.query_certified(&faults, &pairs).unwrap();
+        assert_eq!(answers.len(), pairs.len());
+        for (cert, ans) in certs.iter().zip(&answers) {
             assert_eq!(cert.is_some(), ans);
+        }
+        // Faults by ID name the same edges as the endpoint pairs.
+        assert_eq!(by_ids(reference), certs);
+        for svc in &services[1..] {
+            assert_eq!(svc.query(&faults, &pairs).unwrap(), answers);
+            assert_eq!(svc.query_certified(&faults, &pairs).unwrap(), certs);
+            assert_eq!(by_ids(svc), certs);
+            assert_eq!(trivial(svc), trivial(reference));
         }
     }
 

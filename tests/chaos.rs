@@ -135,8 +135,9 @@ fn corruption_without_retries_is_a_typed_error_never_a_wrong_answer() {
 }
 
 /// The same seed injects the same faults: two proxies over the same
-/// byte streams report identical corruption decisions. (Connection
-/// arrival order is pinned by running one connection at a time.)
+/// byte streams report identical corruption decisions, since each one is
+/// keyed to a stream byte offset. (Connection arrival order is pinned by
+/// running one connection at a time.)
 #[test]
 fn chaos_decisions_are_reproducible_for_a_seed() {
     let g = Graph::torus(3, 4);
@@ -179,10 +180,8 @@ fn chaos_decisions_are_reproducible_for_a_seed() {
     let a = run(42);
     let b = run(42);
     let c = run(43);
-    // Same seed, same workload: identical injection decisions on the
-    // first connection's streams. (Reconnects shift chunking, so only
-    // compare runs whose corruption kept the exchange single-chunked —
-    // the counters still must match exactly for the same seed.)
+    // Same seed, same workload: identical injection decisions on every
+    // connection's streams.
     assert_eq!(
         a.corrupted_bytes, b.corrupted_bytes,
         "same seed must corrupt identically"

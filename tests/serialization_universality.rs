@@ -14,6 +14,7 @@ use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView};
 use ftc::core::{FtcScheme, Params, QuerySession, VertexLabelRead};
 use ftc::graph::{connectivity, generators, Graph};
 use ftc::net::proto as netproto;
+use ftc::serve::{ConnectivityService, ServeError};
 use proptest::prelude::*;
 
 #[test]
@@ -216,6 +217,9 @@ proptest! {
     /// v1 → v2 → v1 transcoding is byte-identical on random labelings in
     /// both encodings, and every truncation or bit flip of the v2 bytes
     /// fails at open or at first section touch with an in-bounds offset.
+    /// A damaged archive that still opens serves, through
+    /// `ConnectivityService`, either the undamaged answers or a typed
+    /// `ServeError::Corrupt` — never a panic, never a wrong answer.
     #[test]
     fn v2_transcode_is_identity_and_damage_is_detected(
         seed in any::<u64>(),
@@ -253,6 +257,42 @@ proptest! {
         match CompressedStoreView::open(bad.clone()) {
             Err(e) => prop_assert!(e.offset <= bad.len()),
             Ok(view) => {
+                let damaged = ConnectivityService::from_compressed(view.clone());
+                let intact = ConnectivityService::from_compressed(store.view().unwrap());
+                let endpoint_of: Vec<(usize, usize)> =
+                    g.edge_iter().map(|(_, u, v)| (u, v)).collect();
+                let pairs: Vec<(usize, usize)> =
+                    (0..g.n()).flat_map(|s| (0..g.n()).map(move |t| (s, t))).collect();
+                let corrupt = |e: &ServeError| matches!(e, ServeError::Corrupt(_));
+                for i in 0..3u64 {
+                    let ids = generators::random_fault_set(&g, 2, seed ^ i);
+                    let faults: Vec<(usize, usize)> = ids.iter().map(|&e| endpoint_of[e]).collect();
+                    let want = intact.query(&faults, &pairs);
+                    match damaged.query(&faults, &pairs) {
+                        Err(e) if corrupt(&e) => {}
+                        got => prop_assert_eq!(got, want),
+                    }
+                    let by_ids = |svc: &ConnectivityService| {
+                        svc.with_session_ids(&ids, |served| {
+                            pairs
+                                .iter()
+                                .map(|&(s, t)| served.connected(s, t))
+                                .collect::<Vec<_>>()
+                        })
+                    };
+                    let want = by_ids(&intact).unwrap();
+                    match by_ids(&damaged) {
+                        Err(e) => prop_assert!(corrupt(&e), "{e}"),
+                        Ok(got) => {
+                            for (got, want) in got.into_iter().zip(want) {
+                                match got {
+                                    Err(e) if corrupt(&e) => {}
+                                    got => prop_assert_eq!(got, want),
+                                }
+                            }
+                        }
+                    }
+                }
                 let err = view.to_v1_vec().expect_err("flip must be detected");
                 prop_assert!(err.offset <= bad.len());
             }

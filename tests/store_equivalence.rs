@@ -86,8 +86,7 @@ proptest! {
 fn reconstituted_router_equals_built_router() {
     let g = generators::random_connected(18, 14, 11);
     let built = ForbiddenSetRouter::new(&g, 2).unwrap();
-    let blob = LabelStore::to_vec(built.labels(), EdgeEncoding::Full);
-    let view = LabelStoreView::open(&blob).unwrap();
+    let view = built.service().archive().clone().into_v1().unwrap();
     let restored = ForbiddenSetRouter::from_store(&g, &view).unwrap();
     for seed in 0..6u64 {
         let fset = generators::random_fault_set(&g, 2, seed);
