@@ -46,6 +46,12 @@ pub struct DecodeScratch {
     edges: Vec<Gf64>,
     /// Running powers for [`ThresholdCodec::check_power_sums`].
     powers: Vec<Gf64>,
+    /// Per-edge factor between consecutive checked powers (`x`, or `x²`
+    /// when only odd power sums are checked).
+    steps: Vec<Gf64>,
+    /// The `2k′` prefix Berlekamp–Massey fits, expanded from odd power
+    /// sums ([`ThresholdCodec::decode_odd_into`]).
+    prefix: Vec<Gf64>,
 }
 
 /// Errors reported by syndrome decoding.
@@ -198,7 +204,7 @@ impl ThresholdCodec {
         );
         let mut scratch = DecodeScratch::default();
         let mut out = Vec::new();
-        Self::decode_prefix_into(syndrome, self.k, syndrome, &mut scratch, &mut out)?;
+        Self::decode_prefix_into(syndrome, self.k, syndrome, 1, &mut scratch, &mut out)?;
         Ok(out)
     }
 
@@ -250,12 +256,53 @@ impl ThresholdCodec {
             self.syndrome_len(),
             "syndrome length mismatch"
         );
+        self.ladder_into(syndrome, 1, scratch, out)
+    }
+
+    /// Adaptive verified decode from the `k` odd power sums
+    /// `s₁, s₃, …, s_{2k−1}` alone (the half-width form of
+    /// [`crate::compact`]): returns exactly what
+    /// [`ThresholdCodec::decode_adaptive_into`] returns on the expanded
+    /// syndrome, without expanding it. Each ladder step expands only the
+    /// `2k′` prefix Berlekamp–Massey fits, and verification compares odd
+    /// power sums only: a candidate set's power sums obey
+    /// `p_{2j} = p_j²` just as the expanded syndrome does, so agreement
+    /// on the odd ones up to `L` is agreement on all of `1..L`.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::ThresholdExceeded`] when no threshold up to `k`
+    /// yields a verified decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `odd.len() != k`.
+    pub fn decode_odd_into(
+        &self,
+        odd: &[Gf64],
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<Gf64>,
+    ) -> Result<(), DecodeError> {
+        assert_eq!(odd.len(), self.k, "odd power-sum count mismatch");
+        self.ladder_into(odd, 2, scratch, out)
+    }
+
+    /// The adaptive ladder over power sums `sums`, where `sums[i]` holds
+    /// `s_{stride·i+1}`: every sum (`stride` 1) or the odd ones (2).
+    fn ladder_into(
+        &self,
+        sums: &[Gf64],
+        stride: usize,
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<Gf64>,
+    ) -> Result<(), DecodeError> {
         out.clear();
-        if Self::is_zero_syndrome(syndrome) {
+        if Self::is_zero_syndrome(sums) {
             return Ok(());
         }
+        let mut prefix = std::mem::take(&mut scratch.prefix);
         let mut k_try = 1usize;
-        loop {
+        let decoded = loop {
             // Verifying against the first `k_try + k` power sums is enough
             // for the exactness guarantee: a candidate `R` with
             // `|R| ≤ k_try` and the true set `T` with `|T| ≤ k` give
@@ -264,29 +311,40 @@ impl ThresholdCodec {
             // the module docs, instantiated at the ladder step). Beyond
             // `|T| > k` the output is unspecified either way and the
             // query engine's sanity checks take over.
-            let verify = &syndrome[..(k_try + self.k).min(syndrome.len())];
+            let verify = &sums[..(k_try + self.k).min(2 * self.k).div_ceil(stride)];
+            let fit: &[Gf64] = if stride == 1 {
+                &sums[..2 * k_try]
+            } else {
+                prefix.resize(2 * k_try, Gf64::ZERO);
+                crate::compact::expand_into(sums[..k_try].iter().copied(), &mut prefix);
+                &prefix
+            };
             // The syndrome is nonzero, so a genuine decode is non-empty;
             // an empty "success" can only mean the verify prefix happened
             // to vanish — keep climbing the ladder.
-            if Self::decode_prefix_into(&syndrome[..2 * k_try], k_try, verify, scratch, out).is_ok()
+            if Self::decode_prefix_into(fit, k_try, verify, stride, scratch, out).is_ok()
                 && !out.is_empty()
             {
-                return Ok(());
+                break Ok(());
             }
             if k_try == self.k {
-                return Err(DecodeError::ThresholdExceeded);
+                break Err(DecodeError::ThresholdExceeded);
             }
             k_try = (k_try * 2).min(self.k);
-        }
+        };
+        scratch.prefix = prefix;
+        decoded
     }
 
     /// Decodes a `2k'`-element syndrome prefix and verifies the result
-    /// against `full` (which may be longer). The decoded set lands in
-    /// `out` (cleared first); on error `out` is left empty.
+    /// against the power sums `full` (which may be longer; `full[i]`
+    /// holds `s_{stride·i+1}`). The decoded set lands in `out` (cleared
+    /// first); on error `out` is left empty.
     fn decode_prefix_into(
         prefix: &[Gf64],
         k_eff: usize,
         full: &[Gf64],
+        stride: usize,
         scratch: &mut DecodeScratch,
         out: &mut Vec<Gf64>,
     ) -> Result<(), DecodeError> {
@@ -309,7 +367,13 @@ impl ThresholdCodec {
         for r in scratch.edges.iter_mut() {
             *r = r.inverse().expect("roots checked nonzero");
         }
-        if Self::check_power_sums(&scratch.edges, full, &mut scratch.powers) {
+        if Self::check_power_sums(
+            &scratch.edges,
+            full,
+            stride,
+            &mut scratch.powers,
+            &mut scratch.steps,
+        ) {
             out.extend_from_slice(&scratch.edges);
             Ok(())
         } else {
@@ -317,12 +381,21 @@ impl ThresholdCodec {
         }
     }
 
-    /// Recomputes the power sums of `edges` and compares with `syndrome`;
-    /// `powers` is the reused running-power buffer (no per-round clone).
-    fn check_power_sums(edges: &[Gf64], syndrome: &[Gf64], powers: &mut Vec<Gf64>) -> bool {
+    /// Recomputes the power sums of `edges` and compares with `sums`
+    /// (`sums[i]` holds `s_{stride·i+1}`); `powers` and `steps` are reused
+    /// buffers (no per-round clone).
+    fn check_power_sums(
+        edges: &[Gf64],
+        sums: &[Gf64],
+        stride: usize,
+        powers: &mut Vec<Gf64>,
+        steps: &mut Vec<Gf64>,
+    ) -> bool {
         powers.clear();
         powers.extend_from_slice(edges);
-        for &s in syndrome {
+        steps.clear();
+        steps.extend(edges.iter().map(|e| e.pow(stride as u64)));
+        for &s in sums {
             let mut acc = Gf64::ZERO;
             for p in powers.iter_mut() {
                 acc += *p;
@@ -330,8 +403,8 @@ impl ThresholdCodec {
             if acc != s {
                 return false;
             }
-            for (p, &e) in powers.iter_mut().zip(edges) {
-                *p *= e;
+            for (p, &step) in powers.iter_mut().zip(steps.iter()) {
+                *p *= step;
             }
         }
         true
@@ -491,6 +564,39 @@ mod tests {
                         assert!(out.is_empty());
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn odd_decode_equals_adaptive_decode_of_the_expansion() {
+        // Genuine syndromes below, at and over the threshold, plus
+        // arbitrary odd sums (whose expansion is Frobenius-consistent by
+        // construction): the odd-sum decode must return exactly what the
+        // full adaptive decode returns on the expanded syndrome — same
+        // IDs in the same order, same failures.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut scratch = DecodeScratch::default();
+        let (mut full_out, mut odd_out) = (Vec::new(), Vec::new());
+        for k in [1usize, 2, 5, 16] {
+            let codec = ThresholdCodec::new(k);
+            let genuine = [0usize, 1, 2, k, k + 1, k + 3].map(|t| {
+                let edges: Vec<Gf64> = (0..t).map(|_| Gf64::new(rng.random::<u64>() | 1)).collect();
+                crate::compact::compress(&encode(&codec, &edges))
+            });
+            let arbitrary: Vec<Vec<Gf64>> = (0..4)
+                .map(|_| (0..k).map(|_| Gf64::new(rng.random())).collect())
+                .collect();
+            for odd in genuine.iter().chain(&arbitrary) {
+                let full = crate::compact::expand(odd);
+                let want = codec
+                    .decode_adaptive_into(&full, &mut scratch, &mut full_out)
+                    .map(|()| full_out.clone());
+                let got = codec
+                    .decode_odd_into(odd, &mut scratch, &mut odd_out)
+                    .map(|()| odd_out.clone());
+                assert_eq!(got, want, "k={k}");
             }
         }
     }

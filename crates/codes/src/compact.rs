@@ -23,16 +23,35 @@ pub fn compress(syndrome: &[Gf64]) -> Vec<Gf64> {
 /// Reconstructs the full `2k`-element syndrome from the `k` odd power
 /// sums, using `s_{2j} = s_j²`.
 pub fn expand(odd: &[Gf64]) -> Vec<Gf64> {
-    let k = odd.len();
-    let mut full = vec![Gf64::ZERO; 2 * k];
-    for (j, &s) in odd.iter().enumerate() {
+    let mut full = vec![Gf64::ZERO; 2 * odd.len()];
+    expand_into(odd.iter().copied(), &mut full);
+    full
+}
+
+/// Writes the full syndrome of the odd power sums `odd` into `full`
+/// without allocating, using `s_{2j} = s_j²`. Every reader of half-width
+/// rows expands through here: byte-level edge views, [`expand`], and
+/// [`crate::ThresholdCodec::decode_odd_into`], which expands only the
+/// prefix Berlekamp–Massey fits.
+///
+/// # Panics
+///
+/// Panics if `full.len()` is not twice the number of odd power sums.
+pub fn expand_into(odd: impl IntoIterator<Item = Gf64>, full: &mut [Gf64]) {
+    let mut k = 0;
+    for (j, s) in odd.into_iter().enumerate() {
         full[2 * j] = s; // s_{2j+1}
+        k = j + 1;
     }
+    assert_eq!(
+        full.len(),
+        2 * k,
+        "full syndrome must be twice the odd sums"
+    );
     // Even entries in increasing order: s_{2j} depends on s_j with j < 2j.
     for i in (2..=2 * k).step_by(2) {
         full[i - 1] = full[i / 2 - 1].square(); // s_i = (s_{i/2})²
     }
-    full
 }
 
 /// Bits saved by compact storage: exactly half of the syndrome payload.
@@ -66,6 +85,24 @@ mod tests {
             assert_eq!(c.len(), 16);
             assert_eq!(expand(&c), s, "expansion must be lossless for {edges:?}");
         }
+    }
+
+    #[test]
+    fn expand_into_matches_expand_and_overwrites() {
+        let s = genuine_syndrome(5, &[7, 70, 700]);
+        let odd = compress(&s);
+        // Stale contents must not leak into the expansion.
+        let mut full = vec![Gf64::new(0xdead); 10];
+        expand_into(odd.iter().copied(), &mut full);
+        assert_eq!(full, s);
+        assert_eq!(expand(&odd), s);
+    }
+
+    #[test]
+    #[should_panic(expected = "twice the odd sums")]
+    fn expand_into_rejects_a_short_output_geometry() {
+        let mut full = vec![Gf64::ZERO; 6];
+        expand_into([Gf64::ONE, Gf64::ONE], &mut full);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct AgmVector {
 
 /// Reusable detection state for [`AgmVector`] slabs: just the hash-family
 /// parameters (sketch detection needs no decode buffers).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AgmDetector {
     params: Option<AgmParams>,
 }

@@ -70,9 +70,7 @@ use crate::mmap::MmapBuf;
 use crate::scheme::{BuildCtx, LevelSink};
 use crate::serial::{self, SerialError, SerialErrorKind, VertexLabelView};
 use crate::session::{QuerySession, SessionScratch};
-use crate::store::{
-    self, ArchivedEdgeView, EdgeEncoding, LabelStoreView, StoreError, StoreOpenError,
-};
+use crate::store::{self, EdgeEncoding, LabelStoreView, StoreError, StoreOpenError};
 use ftc_compress::{checksum64, decode_bytes, decode_words, encode_bytes, encode_words};
 use ftc_field::Gf64;
 use ftc_graph::Graph;
@@ -508,7 +506,6 @@ impl CompressedStoreView {
             }
         }
         Ok(Some(GatheredEdge {
-            encoding: meta.encoding,
             bytes: rec.into_boxed_slice(),
         }))
     }
@@ -646,21 +643,12 @@ impl CompressedStoreView {
 /// layout bytes and reads like any archived edge view.
 #[derive(Clone, Debug)]
 pub struct GatheredEdge {
-    encoding: EdgeEncoding,
     bytes: Box<[u8]>,
 }
 
 impl GatheredEdge {
-    fn view(&self) -> ArchivedEdgeView<'_> {
-        match self.encoding {
-            EdgeEncoding::Full => ArchivedEdgeView::Full(
-                serial::EdgeLabelView::new(&self.bytes).expect("gathered from validated sections"),
-            ),
-            EdgeEncoding::Compact => ArchivedEdgeView::Compact(
-                serial::CompactEdgeLabelView::new(&self.bytes)
-                    .expect("gathered from validated sections"),
-            ),
-        }
+    fn view(&self) -> serial::EdgeLabelView<'_> {
+        serial::EdgeLabelView::new(&self.bytes).expect("gathered from validated sections")
     }
 }
 
@@ -677,14 +665,6 @@ impl EdgeLabelRead for GatheredEdge {
 
     fn anc_lower(&self) -> AncestryLabel {
         self.view().anc_lower()
-    }
-
-    fn to_vector(&self) -> RsVector {
-        self.view().to_vector()
-    }
-
-    fn xor_vector_into(&self, acc: &mut RsVector) {
-        self.view().xor_vector_into(acc);
     }
 
     fn slab_words(&self) -> usize {

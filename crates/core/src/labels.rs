@@ -43,18 +43,22 @@ pub enum SlabDetect {
 /// of Section 3.1, stripped to what the query engine needs.
 ///
 /// Besides the owned-vector operations, every implementation exposes a
-/// *slab* representation: the vector flattened into `u64` words whose
-/// XOR is the vector XOR. The query engine keeps all per-fragment
-/// accumulators in one contiguous word arena and merges fragments by
-/// XORing arena rows, so a session build performs no per-fragment vector
-/// allocation; detection runs straight off an arena row through a
-/// reusable [`OutdetectVector::Detector`].
+/// *slab* representation: `u64` words whose XOR encodes the vector XOR
+/// (for [`RsVector`], the `k` odd power sums of each level; the even
+/// ones are expanded only when a row is decoded). The query engine keeps
+/// all per-fragment accumulators in one contiguous word arena and merges
+/// fragments by XORing arena rows, so a session build performs no
+/// per-fragment vector allocation; detection runs straight off an arena
+/// row through a reusable [`OutdetectVector::Detector`].
 pub trait OutdetectVector: Clone {
     /// Reusable detection state: the codec geometry plus whatever decode
     /// scratch the backend needs. `Default` yields an unconfigured
     /// detector; [`OutdetectVector::configure_detector`] (or
     /// [`EdgeLabelRead::configure_detector`]) points it at a labeling.
-    type Detector: Default + fmt::Debug;
+    /// Detectors compare equal when they are configured for the same
+    /// geometry, so a session can reject fault labels that disagree on
+    /// it.
+    type Detector: Default + fmt::Debug + PartialEq;
 
     /// Merges another vector (labels of disjoint vertex sets XOR to the
     /// label of their union).
@@ -66,7 +70,7 @@ pub trait OutdetectVector: Clone {
     /// Size of the vector in bits (for label-size accounting).
     fn bits(&self) -> usize;
 
-    /// Number of `u64` words in the flattened slab representation.
+    /// Number of `u64` words in the slab representation.
     fn slab_words(&self) -> usize;
     /// XORs this vector into a slab accumulator of [`Self::slab_words`]
     /// words.
@@ -120,8 +124,8 @@ impl<T: VertexLabelRead + ?Sized> VertexLabelRead for &T {
 /// Implemented by the owned [`EdgeLabel`] and by the zero-copy
 /// [`crate::serial::EdgeLabelView`] over serialized bytes. The vector
 /// accessors are shaped for the merge engine's accumulate loop: a view
-/// can XOR its syndrome words straight out of the byte buffer without
-/// ever materializing an owned vector per label.
+/// XORs its slab words straight out of the byte buffer without ever
+/// materializing an owned vector per label.
 pub trait EdgeLabelRead {
     /// The outdetect-vector representation this label carries.
     type Vector: OutdetectVector;
@@ -132,12 +136,7 @@ pub trait EdgeLabelRead {
     fn anc_upper(&self) -> AncestryLabel;
     /// Ancestry label of the endpoint of `σ(e)` farther from the root.
     fn anc_lower(&self) -> AncestryLabel;
-    /// Materializes the outdetect vector (used once per fragment as the
-    /// accumulator seed).
-    fn to_vector(&self) -> Self::Vector;
-    /// XORs the outdetect vector into an existing accumulator.
-    fn xor_vector_into(&self, acc: &mut Self::Vector);
-    /// Number of `u64` words in the label's flattened vector
+    /// Number of `u64` words in the label's vector slab
     /// representation ([`OutdetectVector::slab_words`]).
     fn slab_words(&self) -> usize;
     /// XORs the label's vector into a slab accumulator slice — views
@@ -168,14 +167,6 @@ impl<V: OutdetectVector> EdgeLabelRead for EdgeLabel<V> {
         self.anc_lower
     }
 
-    fn to_vector(&self) -> V {
-        self.vec.clone()
-    }
-
-    fn xor_vector_into(&self, acc: &mut V) {
-        acc.xor_in(&self.vec);
-    }
-
     fn slab_words(&self) -> usize {
         self.vec.slab_words()
     }
@@ -202,14 +193,6 @@ impl<T: EdgeLabelRead + ?Sized> EdgeLabelRead for &T {
 
     fn anc_lower(&self) -> AncestryLabel {
         (**self).anc_lower()
-    }
-
-    fn to_vector(&self) -> T::Vector {
-        (**self).to_vector()
-    }
-
-    fn xor_vector_into(&self, acc: &mut T::Vector) {
-        (**self).xor_vector_into(acc);
     }
 
     fn slab_words(&self) -> usize {
@@ -365,25 +348,6 @@ impl RsVector {
     pub fn is_slab_window(&self) -> bool {
         matches!(self.data, RsData::Window { .. })
     }
-
-    /// XORs raw little-endian syndrome words into the vector in place —
-    /// the zero-copy accumulate path used by byte-level label views.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word count does not match this vector's width.
-    pub fn xor_in_raw_words<I>(&mut self, words: I)
-    where
-        I: IntoIterator<Item = u64>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let words = words.into_iter();
-        let data = self.make_mut();
-        assert_eq!(words.len(), data.len(), "mixed vector widths");
-        for (d, w) in data.iter_mut().zip(words) {
-            *d += Gf64::new(w);
-        }
-    }
 }
 
 impl PartialEq for RsVector {
@@ -399,13 +363,15 @@ impl Eq for RsVector {}
 /// Reusable detection state for [`RsVector`] slabs: the codec geometry
 /// (`k`, level count) plus the decode scratch. One detector serves every
 /// fragment of every session built against the same labeling; warm
-/// detectors decode without allocating.
+/// detectors decode without allocating. Two detectors are equal when
+/// they share the geometry; their scratch is not compared.
 #[derive(Debug, Default)]
 pub struct RsDetector {
     k: usize,
     levels: usize,
-    /// The level syndrome copied out of the word slab.
-    syn: Vec<Gf64>,
+    /// The odd power sums of the level being decoded, read out of its
+    /// half-width slab row.
+    odd: Vec<Gf64>,
     /// Decoded edge IDs before conversion to raw bits.
     ids: Vec<Gf64>,
     decode: DecodeScratch,
@@ -419,6 +385,12 @@ impl RsDetector {
     pub fn configure(&mut self, k: usize, levels: usize) {
         self.k = k;
         self.levels = levels;
+    }
+}
+
+impl PartialEq for RsDetector {
+    fn eq(&self, other: &Self) -> bool {
+        (self.k, self.levels) == (other.k, other.levels)
     }
 }
 
@@ -445,7 +417,8 @@ impl OutdetectVector for RsVector {
         // convenience one and tolerates the throwaway buffers.
         let mut det = RsDetector::default();
         self.configure_detector(&mut det);
-        let words: Vec<u64> = self.as_slice().iter().map(|g| g.to_bits()).collect();
+        let mut words = vec![0u64; self.slab_words()];
+        self.accumulate_slab(&mut words);
         let mut ids = Vec::new();
         match Self::detect_slab(&mut det, &words, &mut ids) {
             SlabDetect::Empty => DetectOutcome::Empty,
@@ -459,14 +432,17 @@ impl OutdetectVector for RsVector {
     }
 
     fn slab_words(&self) -> usize {
-        self.as_slice().len()
+        self.as_slice().len() / 2
     }
 
     fn accumulate_slab(&self, dst: &mut [u64]) {
         let src = self.as_slice();
-        assert_eq!(dst.len(), src.len(), "mixed vector widths");
-        // GF(2⁶⁴) addition is XOR of the bit representations.
-        for (d, s) in dst.iter_mut().zip(src) {
+        assert_eq!(dst.len(), src.len() / 2, "mixed vector widths");
+        // Half-width rows: only the odd power sums s₁, s₃, … (even slots
+        // of each level). GF(2⁶⁴) addition is XOR of the bit patterns,
+        // and squaring is GF(2)-linear, so the XOR of half rows expands
+        // to the XOR of the full syndromes.
+        for (d, s) in dst.iter_mut().zip(src.iter().step_by(2)) {
             *d ^= s.to_bits();
         }
     }
@@ -481,19 +457,21 @@ impl OutdetectVector for RsVector {
         if k == 0 || words.is_empty() {
             return SlabDetect::Empty;
         }
-        debug_assert_eq!(words.len(), 2 * k * det.levels);
+        debug_assert_eq!(words.len(), k * det.levels);
         let codec = ThresholdCodec::new(k);
         // Scan levels from the sparsest (topmost) down: the topmost
         // non-empty level has at most k boundary edges by the
-        // good-hierarchy invariant, so its decode is exact.
+        // good-hierarchy invariant, so its decode is exact. A row of odd
+        // power sums is zero iff its full syndrome is, and the codec
+        // decodes straight from the odd sums.
         for level in (0..det.levels).rev() {
-            let row = &words[2 * k * level..2 * k * (level + 1)];
+            let row = &words[k * level..k * (level + 1)];
             if row.iter().all(|&w| w == 0) {
                 continue;
             }
-            det.syn.clear();
-            det.syn.extend(row.iter().copied().map(Gf64::new));
-            return match codec.decode_adaptive_into(&det.syn, &mut det.decode, &mut det.ids) {
+            det.odd.clear();
+            det.odd.extend(row.iter().copied().map(Gf64::new));
+            return match codec.decode_odd_into(&det.odd, &mut det.decode, &mut det.ids) {
                 Ok(()) if !det.ids.is_empty() => {
                     out.extend(det.ids.iter().map(|g| g.to_bits()));
                     SlabDetect::Edges
@@ -855,13 +833,15 @@ mod tests {
         b.toggle(&codec, 2, 0x77);
         b.toggle(&codec, 1, 0xbbbb);
 
-        // Slab XOR must equal owned XOR, word for word.
+        // Slab XOR must equal the owned XOR's odd power sums, word for
+        // word: the slab is half width.
         let mut words = vec![0u64; a.slab_words()];
+        assert_eq!(words.len(), 4 * 3);
         a.accumulate_slab(&mut words);
         b.accumulate_slab(&mut words);
         let mut owned = a.clone();
         owned.xor_in(&b);
-        let owned_words: Vec<u64> = owned.raw().iter().map(|g| g.to_bits()).collect();
+        let owned_words: Vec<u64> = owned.raw().iter().step_by(2).map(|g| g.to_bits()).collect();
         assert_eq!(words, owned_words);
 
         // Slab detection must agree with owned detection.
@@ -932,7 +912,12 @@ mod tests {
         wb.accumulate_slab(&mut words);
         let mut merged = a.clone();
         merged.xor_in(&b);
-        let merged_words: Vec<u64> = merged.raw().iter().map(|g| g.to_bits()).collect();
+        let merged_words: Vec<u64> = merged
+            .raw()
+            .iter()
+            .step_by(2)
+            .map(|g| g.to_bits())
+            .collect();
         assert_eq!(words, merged_words);
     }
 

@@ -25,9 +25,9 @@
 //! * [`baseline`] — the Dory–Parter-style whp sketch scheme the paper
 //!   compares against (Table 1, rows 1–2);
 //! * [`serial`] — byte-level label serialization plus the zero-copy
-//!   [`serial::VertexLabelView`] / [`serial::EdgeLabelView`] /
-//!   [`serial::CompactEdgeLabelView`] readers (used to demonstrate the
-//!   decoder is genuinely graph-free);
+//!   [`serial::VertexLabelView`] and [`serial::EdgeLabelView`] readers
+//!   (one edge view reads both the full and the compact record layout;
+//!   used to demonstrate the decoder is genuinely graph-free);
 //! * [`store`] — the single-blob label archive: [`store::LabelStore`]
 //!   writes a whole labeling as one indexed byte blob and
 //!   [`store::LabelStoreView`] opens it zero-copy, serving O(1)/O(log m)
@@ -101,10 +101,6 @@ pub use labels::{
 pub use params::{Params, ThresholdPolicy};
 pub use patch::{assemble_archive, assemble_archive_into, EdgeRecordSpec};
 pub use scheme::{BuildDiagnostics, FtcScheme, SchemeBuilder};
-pub use serial::{
-    CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
-};
+pub use serial::{EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView};
 pub use session::{Certificate, QuerySession, SessionScratch};
-pub use store::{
-    ArchivedEdgeView, EdgeEncoding, LabelStore, LabelStoreView, StoreError, StoreOpenError,
-};
+pub use store::{EdgeEncoding, LabelStore, LabelStoreView, StoreError, StoreOpenError};

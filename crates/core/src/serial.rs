@@ -11,8 +11,9 @@
 
 use crate::ancestry::AncestryLabel;
 use crate::labels::{
-    EdgeLabel, EdgeLabelRead, LabelHeader, OutdetectVector, RsVector, VertexLabel, VertexLabelRead,
+    EdgeLabel, EdgeLabelRead, LabelHeader, RsVector, VertexLabel, VertexLabelRead,
 };
+use crate::store::EdgeEncoding;
 use ftc_field::Gf64;
 
 pub(crate) const VERTEX_MAGIC: u16 = 0x4656; // "FV"
@@ -213,7 +214,8 @@ pub fn edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError>
     if k > 0 && !len.is_multiple_of(2 * k) {
         return Err(SerialError::new(SerialErrorKind::Inconsistent, len_at));
     }
-    let mut data = Vec::with_capacity(len);
+    // `len` is untrusted: reserve no more words than the input holds.
+    let mut data = Vec::with_capacity(len.min(bytes.len() / 8));
     for _ in 0..len {
         data.push(Gf64::new(r.u64()?));
     }
@@ -257,30 +259,8 @@ pub fn edge_to_bytes_compact(l: &EdgeLabel<RsVector>) -> Vec<u8> {
 /// [`SerialError`] (with the offending byte offset) on bad magic,
 /// truncation, or trailing bytes.
 pub fn compact_edge_from_bytes(bytes: &[u8]) -> Result<EdgeLabel<RsVector>, SerialError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.u16()? != COMPACT_EDGE_MAGIC {
-        return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
-    }
-    let header = read_header(&mut r)?;
-    let anc_upper = read_anc(&mut r)?;
-    let anc_lower = read_anc(&mut r)?;
-    let k = r.u32()? as usize;
-    let levels = r.u32()? as usize;
-    let mut data = Vec::with_capacity(2 * k * levels);
-    for _ in 0..levels {
-        let mut odd = Vec::with_capacity(k);
-        for _ in 0..k {
-            odd.push(Gf64::new(r.u64()?));
-        }
-        data.extend(ftc_codes::compact::expand(&odd));
-    }
-    r.done()?;
-    Ok(EdgeLabel {
-        header,
-        anc_upper,
-        anc_lower,
-        vec: RsVector::from_raw(k, data),
-    })
+    check_magic(bytes, COMPACT_EDGE_MAGIC)?;
+    Ok(EdgeLabelView::new(bytes)?.to_label())
 }
 
 // ---------------------------------------------------------------------------
@@ -389,39 +369,66 @@ impl VertexLabelRead for VertexLabelView<'_> {
 }
 
 /// A validated zero-copy view of a serialized edge label of the
-/// deterministic scheme ([`edge_to_bytes`] layout). Implements
-/// [`EdgeLabelRead`]: the ancestry fields decode on demand, and the
-/// Reed–Solomon syndrome words XOR into a session's fragment accumulators
-/// straight out of the byte buffer — the `Vec<Gf64>` payload is never
-/// deserialized per label.
+/// deterministic scheme, in either record layout: full
+/// ([`edge_to_bytes`], `2k` words per level) or compact
+/// ([`edge_to_bytes_compact`], the `k` odd power sums per level).
+/// Implements [`EdgeLabelRead`]: the ancestry fields decode on demand,
+/// and the odd power sums of each level XOR into a session's half-width
+/// slab straight out of the byte buffer — word `2j` of a full row, word
+/// `j` of a compact one. The two layouts differ in nothing else.
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeLabelView<'a> {
     buf: &'a [u8],
+    encoding: EdgeEncoding,
 }
 
 impl<'a> EdgeLabelView<'a> {
-    /// Validates magic, length consistency, and syndrome geometry over
-    /// the borrowed bytes.
+    /// Validates magic (either layout), length consistency, and syndrome
+    /// geometry over the borrowed bytes.
     ///
     /// # Errors
     ///
     /// [`SerialError`] (with the offending byte offset) on bad magic,
     /// truncation, inconsistent lengths, or trailing bytes.
     pub fn new(bytes: &'a [u8]) -> Result<EdgeLabelView<'a>, SerialError> {
-        check_magic(bytes, EDGE_MAGIC)?;
+        if bytes.len() < 2 {
+            return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
+        }
+        let encoding = match u16::from_le_bytes(bytes[..2].try_into().unwrap()) {
+            EDGE_MAGIC => EdgeEncoding::Full,
+            COMPACT_EDGE_MAGIC => EdgeEncoding::Compact,
+            _ => return Err(SerialError::new(SerialErrorKind::BadMagic, 0)),
+        };
         if bytes.len() < EDGE_WORDS_OFFSET {
             return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
         }
+        let geometry_at = EDGE_WORDS_OFFSET - 4;
+        let inconsistent = SerialError::new(SerialErrorKind::Inconsistent, geometry_at);
         let k = read_u32_at(bytes, EDGE_WORDS_OFFSET - 8) as usize;
-        let len = read_u32_at(bytes, EDGE_WORDS_OFFSET - 4) as usize;
-        if k > 0 && !len.is_multiple_of(2 * k) {
-            return Err(SerialError::new(
-                SerialErrorKind::Inconsistent,
-                EDGE_WORDS_OFFSET - 4,
-            ));
-        }
-        check_exact_len(bytes, EDGE_WORDS_OFFSET + 8 * len)?;
-        Ok(EdgeLabelView { buf: bytes })
+        let field = read_u32_at(bytes, geometry_at) as usize;
+        // The geometry field holds the word count (full) or the level
+        // count (compact).
+        let words = match encoding {
+            EdgeEncoding::Full if k > 0 && !field.is_multiple_of(2 * k) => {
+                return Err(inconsistent)
+            }
+            EdgeEncoding::Full => field,
+            EdgeEncoding::Compact => k.checked_mul(field).ok_or(inconsistent)?,
+        };
+        let len = words
+            .checked_mul(8)
+            .and_then(|b| b.checked_add(EDGE_WORDS_OFFSET))
+            .ok_or(inconsistent)?;
+        check_exact_len(bytes, len)?;
+        Ok(EdgeLabelView {
+            buf: bytes,
+            encoding,
+        })
+    }
+
+    /// The record layout these bytes use.
+    pub fn encoding(&self) -> EdgeEncoding {
+        self.encoding
     }
 
     /// The codec threshold `k` of the carried vector.
@@ -429,38 +436,53 @@ impl<'a> EdgeLabelView<'a> {
         read_u32_at(self.buf, EDGE_WORDS_OFFSET - 8) as usize
     }
 
-    /// Number of syndrome words carried.
-    pub fn num_words(&self) -> usize {
-        read_u32_at(self.buf, EDGE_WORDS_OFFSET - 4) as usize
-    }
-
-    /// Iterates the raw little-endian syndrome words.
-    fn words(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        let n = self.num_words();
-        (0..n).map(|i| read_u64_at(self.buf, EDGE_WORDS_OFFSET + 8 * i))
-    }
-
-    /// Copies the syndrome words into `dst` — the archive-reconstitution
-    /// path filling a shared payload slab without an owned vector per
-    /// label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst.len() != self.num_words()`.
-    pub(crate) fn copy_words_into(&self, dst: &mut [Gf64]) {
-        assert_eq!(dst.len(), self.num_words(), "mixed vector widths");
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = Gf64::new(read_u64_at(self.buf, EDGE_WORDS_OFFSET + 8 * i));
+    /// Number of hierarchy levels carried.
+    pub fn levels(&self) -> usize {
+        let field = read_u32_at(self.buf, EDGE_WORDS_OFFSET - 4) as usize;
+        match (self.encoding, self.k()) {
+            (EdgeEncoding::Compact, _) => field,
+            (EdgeEncoding::Full, 0) => 0,
+            (EdgeEncoding::Full, k) => field / (2 * k),
         }
     }
 
-    /// Copies the view out into an owned label.
+    /// The stored odd power sums `s₁, s₃, …`, level by level: every
+    /// other word of a full record, every word of a compact one.
+    fn odd_sums(&self) -> impl Iterator<Item = u64> + '_ {
+        let stride = match self.encoding {
+            EdgeEncoding::Full => 16,
+            EdgeEncoding::Compact => 8,
+        };
+        (0..self.k() * self.levels())
+            .map(move |i| read_u64_at(self.buf, EDGE_WORDS_OFFSET + stride * i))
+    }
+
+    /// Writes the full `2k`-per-level syndrome into `dst`, expanding
+    /// each level's odd power sums — the archive-reconstitution path
+    /// filling a shared payload slab without an owned vector per label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst.len() != 2k · levels`.
+    pub(crate) fn syndrome_into(&self, dst: &mut [Gf64]) {
+        let (k, levels) = (self.k(), self.levels());
+        assert_eq!(dst.len(), 2 * k * levels, "mixed vector widths");
+        let mut odd = self.odd_sums().map(Gf64::new);
+        for level in 0..levels {
+            let full = &mut dst[2 * k * level..2 * k * (level + 1)];
+            ftc_codes::compact::expand_into(odd.by_ref().take(k), full);
+        }
+    }
+
+    /// Copies the view out into an owned label (expanding the syndrome).
     pub fn to_label(&self) -> EdgeLabel<RsVector> {
+        let mut data = vec![Gf64::ZERO; 2 * self.k() * self.levels()];
+        self.syndrome_into(&mut data);
         EdgeLabel {
             header: EdgeLabelRead::header(self),
             anc_upper: self.anc_upper(),
             anc_lower: self.anc_lower(),
-            vec: self.to_vector(),
+            vec: RsVector::from_raw(self.k(), data),
         }
     }
 }
@@ -480,183 +502,14 @@ impl EdgeLabelRead for EdgeLabelView<'_> {
         read_anc_at(self.buf, 2 + HEADER_BYTES + ANC_BYTES)
     }
 
-    fn to_vector(&self) -> RsVector {
-        RsVector::from_raw(self.k(), self.words().map(Gf64::new).collect())
-    }
-
-    fn xor_vector_into(&self, acc: &mut RsVector) {
-        assert_eq!(self.k(), acc.k(), "mixed thresholds");
-        acc.xor_in_raw_words(self.words());
-    }
-
     fn slab_words(&self) -> usize {
-        self.num_words()
+        self.k() * self.levels()
     }
 
     fn xor_into_slab(&self, dst: &mut [u64]) {
-        assert_eq!(dst.len(), self.num_words(), "mixed vector widths");
-        for (d, w) in dst.iter_mut().zip(self.words()) {
+        assert_eq!(dst.len(), self.slab_words(), "mixed vector widths");
+        for (d, w) in dst.iter_mut().zip(self.odd_sums()) {
             *d ^= w;
-        }
-    }
-
-    fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        let k = self.k();
-        let levels = if k == 0 {
-            0
-        } else {
-            self.num_words() / (2 * k)
-        };
-        det.configure(k, levels);
-    }
-}
-
-/// A validated zero-copy view of a *compact* serialized edge label
-/// ([`edge_to_bytes_compact`] layout). Implements [`EdgeLabelRead`]:
-/// the ancestry fields decode on demand; the half-width syndrome is
-/// expanded to the full `2k`-element form (via `s_{2j} = s_j²`) only when
-/// the vector is actually needed by the merge engine.
-#[derive(Clone, Copy, Debug)]
-pub struct CompactEdgeLabelView<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> CompactEdgeLabelView<'a> {
-    /// Validates magic, length consistency, and syndrome geometry over
-    /// the borrowed bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`SerialError`] (with the offending byte offset) on bad magic,
-    /// truncation, or trailing bytes.
-    pub fn new(bytes: &'a [u8]) -> Result<CompactEdgeLabelView<'a>, SerialError> {
-        check_magic(bytes, COMPACT_EDGE_MAGIC)?;
-        if bytes.len() < EDGE_WORDS_OFFSET {
-            return Err(SerialError::new(SerialErrorKind::Truncated, bytes.len()));
-        }
-        let k = read_u32_at(bytes, EDGE_WORDS_OFFSET - 8) as usize;
-        let levels = read_u32_at(bytes, EDGE_WORDS_OFFSET - 4) as usize;
-        let words = k
-            .checked_mul(levels)
-            .and_then(|w| w.checked_mul(8))
-            .and_then(|w| w.checked_add(EDGE_WORDS_OFFSET))
-            .ok_or(SerialError::new(
-                SerialErrorKind::Inconsistent,
-                EDGE_WORDS_OFFSET - 4,
-            ))?;
-        check_exact_len(bytes, words)?;
-        Ok(CompactEdgeLabelView { buf: bytes })
-    }
-
-    /// The codec threshold `k` of the carried vector.
-    pub fn k(&self) -> usize {
-        read_u32_at(self.buf, EDGE_WORDS_OFFSET - 8) as usize
-    }
-
-    /// Number of hierarchy levels carried.
-    pub fn levels(&self) -> usize {
-        read_u32_at(self.buf, EDGE_WORDS_OFFSET - 4) as usize
-    }
-
-    /// Copies the view out into an owned label (expanding the syndrome).
-    pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        EdgeLabel {
-            header: EdgeLabelRead::header(self),
-            anc_upper: self.anc_upper(),
-            anc_lower: self.anc_lower(),
-            vec: self.to_vector(),
-        }
-    }
-
-    /// Expands the half-width syndrome into `dst` (full `2k`-per-level
-    /// layout, `s_{2j} = s_j²`) — the archive-reconstitution path filling
-    /// a shared payload slab without an owned vector per label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst.len() != 2k · levels`.
-    pub(crate) fn expand_words_into(&self, dst: &mut [Gf64]) {
-        let k = self.k();
-        let levels = self.levels();
-        assert_eq!(dst.len(), 2 * k * levels, "mixed vector widths");
-        for lvl in 0..levels {
-            let lvl_at = EDGE_WORDS_OFFSET + 8 * lvl * k;
-            let out = &mut dst[2 * k * lvl..2 * k * (lvl + 1)];
-            // Odd power sums are stored; even ones are Frobenius squares
-            // (same recurrence as `ftc_codes::compact::expand`, written
-            // in increasing index order so dependencies are ready).
-            for j in 0..k {
-                out[2 * j] = Gf64::new(read_u64_at(self.buf, lvl_at + 8 * j));
-            }
-            for i in (2..=2 * k).step_by(2) {
-                out[i - 1] = out[i / 2 - 1].square();
-            }
-        }
-    }
-}
-
-impl EdgeLabelRead for CompactEdgeLabelView<'_> {
-    type Vector = RsVector;
-
-    fn header(&self) -> LabelHeader {
-        read_header_at(self.buf, 2)
-    }
-
-    fn anc_upper(&self) -> AncestryLabel {
-        read_anc_at(self.buf, 2 + HEADER_BYTES)
-    }
-
-    fn anc_lower(&self) -> AncestryLabel {
-        read_anc_at(self.buf, 2 + HEADER_BYTES + ANC_BYTES)
-    }
-
-    fn to_vector(&self) -> RsVector {
-        let k = self.k();
-        let mut data = Vec::with_capacity(2 * k * self.levels());
-        let mut odd = Vec::with_capacity(k);
-        for lvl in 0..self.levels() {
-            odd.clear();
-            for i in 0..k {
-                let at = EDGE_WORDS_OFFSET + 8 * (lvl * k + i);
-                odd.push(Gf64::new(read_u64_at(self.buf, at)));
-            }
-            data.extend(ftc_codes::compact::expand(&odd));
-        }
-        RsVector::from_raw(k, data)
-    }
-
-    fn xor_vector_into(&self, acc: &mut RsVector) {
-        assert_eq!(self.k(), acc.k(), "mixed thresholds");
-        acc.xor_in(&self.to_vector());
-    }
-
-    fn slab_words(&self) -> usize {
-        2 * self.k() * self.levels()
-    }
-
-    fn xor_into_slab(&self, dst: &mut [u64]) {
-        // Expand the half-width encoding on the fly, with no scratch: in
-        // the full layout, entry `i` (1-based power sum `s_i`) equals
-        // `s_o^(2^t)` where `i = o·2^t` with `o` odd — repeated Frobenius
-        // squaring of a stored odd power sum. t ≤ log₂(2k) squarings per
-        // entry keep this cheap, and each label is expanded exactly once
-        // per session build (into the fault-word slab).
-        let k = self.k();
-        let levels = self.levels();
-        assert_eq!(dst.len(), 2 * k * levels, "mixed vector widths");
-        for lvl in 0..levels {
-            let lvl_at = EDGE_WORDS_OFFSET + 8 * lvl * k;
-            let out = &mut dst[2 * k * lvl..2 * k * (lvl + 1)];
-            for (idx, slot) in out.iter_mut().enumerate() {
-                let i = idx + 1; // 1-based power-sum index
-                let t = i.trailing_zeros();
-                let o = i >> t; // odd part: s_i = s_o^(2^t)
-                let mut v = Gf64::new(read_u64_at(self.buf, lvl_at + 8 * (o / 2)));
-                for _ in 0..t {
-                    v = v.square();
-                }
-                *slot ^= v.to_bits();
-            }
         }
     }
 
@@ -668,9 +521,50 @@ impl EdgeLabelRead for CompactEdgeLabelView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::QueryError;
+    use crate::labels::{DetectOutcome, OutdetectVector, RsDetector, SlabDetect};
     use crate::params::Params;
     use crate::scheme::FtcScheme;
+    use crate::session::QuerySession;
     use ftc_graph::Graph;
+
+    /// Detected IDs in ascending order, for order-free comparison.
+    fn sorted(outcome: DetectOutcome) -> DetectOutcome {
+        match outcome {
+            DetectOutcome::Edges(mut ids) => {
+                ids.sort_unstable();
+                DetectOutcome::Edges(ids)
+            }
+            other => other,
+        }
+    }
+
+    /// Detection straight off the stored full syndromes, bypassing the
+    /// slab: decode the topmost non-zero `2k`-word level.
+    fn full_syndrome_detect(v: &RsVector) -> DetectOutcome {
+        let k = v.k();
+        let Some(level) = v
+            .raw()
+            .chunks(2 * k)
+            .rev()
+            .find(|l| l.iter().any(|x| !x.is_zero()))
+        else {
+            return DetectOutcome::Empty;
+        };
+        match ftc_codes::ThresholdCodec::new(k).decode_adaptive(level) {
+            Ok(ids) if !ids.is_empty() => sorted(DetectOutcome::Edges(
+                ids.iter().map(|g| g.to_bits()).collect(),
+            )),
+            _ => DetectOutcome::Failed,
+        }
+    }
+
+    /// The slab row a label's view accumulates into a zeroed row.
+    fn slab_row(view: &EdgeLabelView) -> Vec<u64> {
+        let mut row = vec![0u64; view.slab_words()];
+        view.xor_into_slab(&mut row);
+        row
+    }
 
     #[test]
     fn vertex_round_trip() {
@@ -730,6 +624,25 @@ mod tests {
                 bytes.len()
             ))
         );
+        // Geometry fields are untrusted: a prefix claiming billions of
+        // words is truncated input, not a giant allocation.
+        let put_u32 =
+            |b: &mut [u8], at: usize, x: u32| b[at..at + 4].copy_from_slice(&x.to_le_bytes());
+        let mut huge = bytes[..EDGE_WORDS_OFFSET].to_vec();
+        put_u32(&mut huge, EDGE_WORDS_OFFSET - 8, 1);
+        put_u32(&mut huge, EDGE_WORDS_OFFSET - 4, u32::MAX - 1);
+        assert_eq!(
+            edge_from_bytes(&huge),
+            Err(SerialError::new(
+                SerialErrorKind::Truncated,
+                EDGE_WORDS_OFFSET
+            ))
+        );
+        let mut huge = edge_to_bytes_compact(s.labels().edge_label_by_id(0));
+        huge.truncate(EDGE_WORDS_OFFSET);
+        put_u32(&mut huge, EDGE_WORDS_OFFSET - 8, u32::MAX);
+        put_u32(&mut huge, EDGE_WORDS_OFFSET - 4, u32::MAX);
+        assert!(compact_edge_from_bytes(&huge).is_err());
     }
 
     #[test]
@@ -792,16 +705,18 @@ mod tests {
         assert!(EdgeLabelView::new(&vb).is_err());
         let eb = edge_to_bytes(s.labels().edge_label_by_id(0));
         assert!(VertexLabelView::new(&eb).is_err());
-        // A full-encoding edge is not a compact one and vice versa.
+        // The one edge view reads both layouts and reports which it saw
+        // (archives cross-check it against their encoding byte).
         assert_eq!(
-            CompactEdgeLabelView::new(&eb).unwrap_err().kind,
-            SerialErrorKind::BadMagic
+            EdgeLabelView::new(&eb).unwrap().encoding(),
+            EdgeEncoding::Full
         );
         let cb = edge_to_bytes_compact(s.labels().edge_label_by_id(0));
         assert_eq!(
-            EdgeLabelView::new(&cb).unwrap_err().kind,
-            SerialErrorKind::BadMagic
+            EdgeLabelView::new(&cb).unwrap().encoding(),
+            EdgeEncoding::Compact
         );
+        assert!(VertexLabelView::new(&cb).is_err());
     }
 
     #[test]
@@ -819,10 +734,14 @@ mod tests {
             let bytes = edge_to_bytes(l.edge_label_by_id(e));
             let view = EdgeLabelView::new(&bytes).unwrap();
             assert_eq!(&view.to_label(), l.edge_label_by_id(e));
-            // The zero-copy XOR path agrees with the owned vector.
-            let mut acc = view.to_vector();
-            view.xor_vector_into(&mut acc);
-            assert!(crate::labels::OutdetectVector::is_zero(&acc));
+            // The zero-copy slab path agrees with the owned vector, and
+            // XORing a label in twice cancels.
+            let owned = &l.edge_label_by_id(e).vec;
+            let mut row = vec![0u64; owned.slab_words()];
+            owned.accumulate_slab(&mut row);
+            assert_eq!(slab_row(&view), row);
+            view.xor_into_slab(&mut row);
+            assert!(row.iter().all(|&w| w == 0));
         }
     }
 
@@ -854,10 +773,10 @@ mod tests {
             VertexLabelView::new(&vb[..vb.len() - 1]).unwrap_err(),
             SerialError::new(SerialErrorKind::Truncated, vb.len() - 1)
         );
-        // Compact views locate truncation the same way.
+        // Compact records locate truncation the same way.
         let cb = edge_to_bytes_compact(s.labels().edge_label_by_id(0));
         assert_eq!(
-            CompactEdgeLabelView::new(&cb[..cb.len() - 1]).unwrap_err(),
+            EdgeLabelView::new(&cb[..cb.len() - 1]).unwrap_err(),
             SerialError::new(SerialErrorKind::Truncated, cb.len() - 1)
         );
     }
@@ -869,19 +788,19 @@ mod tests {
         let l = s.labels();
         for e in 0..g.m() {
             let bytes = edge_to_bytes_compact(l.edge_label_by_id(e));
-            let view = CompactEdgeLabelView::new(&bytes).unwrap();
+            let view = EdgeLabelView::new(&bytes).unwrap();
             assert_eq!(&view.to_label(), l.edge_label_by_id(e));
-            // The XOR path agrees with the materialized vector.
-            let mut acc = view.to_vector();
-            view.xor_vector_into(&mut acc);
-            assert!(crate::labels::OutdetectVector::is_zero(&acc));
+            // The slab path agrees with the materialized vector.
+            let mut row = slab_row(&view);
+            view.to_label().vec.accumulate_slab(&mut row);
+            assert!(row.iter().all(|&w| w == 0));
         }
         // Compact views drive sessions exactly like full ones.
         let b0 = edge_to_bytes_compact(l.edge_label_by_id(0));
         let b3 = edge_to_bytes_compact(l.edge_label_by_id(3));
         let views = [
-            CompactEdgeLabelView::new(&b0).unwrap(),
-            CompactEdgeLabelView::new(&b3).unwrap(),
+            EdgeLabelView::new(&b0).unwrap(),
+            EdgeLabelView::new(&b3).unwrap(),
         ];
         let session = crate::session::QuerySession::new(l.header(), views).unwrap();
         let owned = l
@@ -920,5 +839,98 @@ mod tests {
         assert_eq!(session.connected(vv(1), vv(5)), Ok(false));
         assert_eq!(session.connected(vv(1), vv(2)), Ok(true));
         assert_eq!(session.connected(vv(4), vv(6)), Ok(true));
+    }
+
+    #[test]
+    fn both_layouts_fill_identical_half_width_slab_rows() {
+        let g = Graph::grid(3, 4);
+        let s = FtcScheme::build(&g, &Params::deterministic(2)).unwrap();
+        let l = s.labels();
+        let full: Vec<Vec<u8>> = (0..g.m())
+            .map(|e| edge_to_bytes(l.edge_label_by_id(e)))
+            .collect();
+        let compact: Vec<Vec<u8>> = (0..g.m())
+            .map(|e| edge_to_bytes_compact(l.edge_label_by_id(e)))
+            .collect();
+        for e in 0..g.m() {
+            let (fv, cv) = (
+                EdgeLabelView::new(&full[e]).unwrap(),
+                EdgeLabelView::new(&compact[e]).unwrap(),
+            );
+            assert_eq!((fv.k(), fv.levels()), (cv.k(), cv.levels()));
+            assert_eq!(fv.slab_words(), fv.k() * fv.levels(), "half width");
+            assert_eq!(slab_row(&fv), slab_row(&cv));
+        }
+        // Detection on the XOR of two half-width rows equals owned
+        // detection on the XOR of the full vectors, and decoding the
+        // stored full syndrome directly.
+        let mut det = RsDetector::default();
+        let mut out = Vec::new();
+        let mut decoded = 0;
+        for (a, b) in [(0, 1), (0, 5), (2, 9), (3, 3)] {
+            let mut row = slab_row(&EdgeLabelView::new(&full[a]).unwrap());
+            EdgeLabelView::new(&compact[b])
+                .unwrap()
+                .xor_into_slab(&mut row);
+            let mut owned = l.edge_label_by_id(a).vec.clone();
+            owned.xor_in(&l.edge_label_by_id(b).vec);
+            owned.configure_detector(&mut det);
+            let slab = RsVector::detect_slab(&mut det, &row, &mut out);
+            out.sort_unstable();
+            let expected = full_syndrome_detect(&owned);
+            assert_eq!(sorted(owned.detect()), expected);
+            match expected {
+                DetectOutcome::Edges(ids) => {
+                    assert_eq!((slab, &out), (SlabDetect::Edges, &ids));
+                    decoded += 1;
+                }
+                DetectOutcome::Empty => assert_eq!(slab, SlabDetect::Empty),
+                DetectOutcome::Failed => assert_eq!(slab, SlabDetect::Failed),
+            }
+        }
+        assert!(decoded > 0, "some pair must decode to edges");
+    }
+
+    /// A self-consistent record of another geometry under the same
+    /// header: the session must refuse it, not panic or decode with the
+    /// wrong detector.
+    #[test]
+    fn sessions_reject_fault_labels_of_another_geometry() {
+        // Random halving gives the hierarchy several levels.
+        let g = Graph::grid(4, 4);
+        let s = FtcScheme::build(&g, &Params::randomized(2, 7)).unwrap();
+        let l = s.labels();
+        let v0 = edge_to_bytes(l.edge_label_by_id(0));
+        let view = EdgeLabelView::new(&v0).unwrap();
+        let (k, levels) = (view.k(), view.levels());
+        assert!(levels >= 2, "the crafted records need two levels");
+        let put_u32 = |b: &mut Vec<u8>, at: usize, x: usize| {
+            b[at..at + 4].copy_from_slice(&(x as u32).to_le_bytes())
+        };
+        // Drop the top level and rewrite the word count.
+        let mut shorter = edge_to_bytes(l.edge_label_by_id(1));
+        shorter.truncate(shorter.len() - 8 * 2 * k);
+        put_u32(&mut shorter, EDGE_WORDS_OFFSET - 4, 2 * k * (levels - 1));
+        // Same payload, threshold `k · levels`: one level, and the same
+        // half-width slab width as the genuine record.
+        let mut regrouped = edge_to_bytes(l.edge_label_by_id(1));
+        put_u32(&mut regrouped, EDGE_WORDS_OFFSET - 8, k * levels);
+        for crafted in [&shorter, &regrouped] {
+            let c = EdgeLabelView::new(crafted).expect("self-consistent record");
+            assert_eq!(c.header(), view.header());
+            assert_ne!((c.k(), c.levels()), (k, levels));
+            assert_eq!(
+                QuerySession::from_faults([view, c]).unwrap_err(),
+                QueryError::MismatchedLabels
+            );
+            assert_eq!(
+                QuerySession::from_faults([c, view]).unwrap_err(),
+                QueryError::MismatchedLabels
+            );
+        }
+        assert_eq!(
+            EdgeLabelView::new(&regrouped).unwrap().slab_words(),
+            view.slab_words()
+        );
     }
 }

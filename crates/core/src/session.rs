@@ -208,7 +208,8 @@ impl QuerySession {
     /// # Errors
     ///
     /// * [`QueryError::MismatchedLabels`] if a fault label's header
-    ///   differs from `header`;
+    ///   differs from `header`, or its vector geometry from the first
+    ///   fault's;
     /// * [`QueryError::TooManyFaults`] if more than `header.f` distinct
     ///   faults are supplied;
     /// * [`QueryError::OutdetectFailed`] on calibrated-threshold decode
@@ -292,7 +293,13 @@ impl QuerySession {
                 w = e.slab_words();
                 e.configure_detector(&mut s.engine.det);
             } else {
-                assert_eq!(e.slab_words(), w, "mixed vector widths");
+                // Equal slab widths do not imply equal geometry (an RS
+                // row is k·levels words): compare configured detectors.
+                let mut probe = Default::default();
+                e.configure_detector(&mut probe);
+                if probe != s.engine.det || e.slab_words() != w {
+                    return Err(QueryError::MismatchedLabels);
+                }
             }
             s.anc.push(e.anc_lower());
             let at = s.fault_words.len();
@@ -534,14 +541,6 @@ impl<B: Borrow<EdgeLabel<V>>, V: OutdetectVector> EdgeLabelRead for BorrowedFaul
 
     fn anc_lower(&self) -> AncestryLabel {
         self.0.borrow().anc_lower
-    }
-
-    fn to_vector(&self) -> V {
-        self.0.borrow().vec.clone()
-    }
-
-    fn xor_vector_into(&self, acc: &mut V) {
-        acc.xor_in(&self.0.borrow().vec);
     }
 
     fn slab_words(&self) -> usize {

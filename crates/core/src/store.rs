@@ -75,8 +75,7 @@ use crate::labels::{
 };
 use crate::scheme::{BuildCtx, LevelSink, SchemeBuilder};
 use crate::serial::{
-    self, CompactEdgeLabelView, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView,
-    VERTEX_LABEL_BYTES,
+    self, EdgeLabelView, SerialError, SerialErrorKind, VertexLabelView, VERTEX_LABEL_BYTES,
 };
 use crate::session::{QuerySession, SessionScratch};
 use ftc_field::Gf64;
@@ -102,8 +101,9 @@ pub enum EdgeEncoding {
     Full,
     /// Half-width characteristic-two compression: only the `k` odd power
     /// sums per level ([`crate::serial::edge_to_bytes_compact`] layout);
-    /// even ones are
-    /// reconstructed as `s_{2j} = s_j²` on read.
+    /// even ones are reconstructed as `s_{2j} = s_j²` when a level is
+    /// decoded. Sessions read both encodings into the same half-width
+    /// slab, so the two differ only in the stored stride.
     Compact,
 }
 
@@ -508,9 +508,9 @@ impl<'a> LabelStoreView<'a> {
             }
         }
         // Edge labels must additionally agree on the codec geometry
-        // (threshold k and level count): the merge engine asserts
-        // uniform widths, so a mixed-geometry archive must fail here —
-        // at open, with an offset — not panic inside a later session.
+        // (threshold k and level count): a mixed-geometry archive must
+        // fail here — at open, with an offset — not in whichever later
+        // session happens to combine two of its records.
         let mut geometry: Option<(usize, usize)> = None;
         for e in 0..m {
             let (at, end) = view.edge_span(e);
@@ -692,12 +692,14 @@ impl<'a> LabelStoreView<'a> {
         (self.meta.edges_at + start, self.meta.edges_at + end)
     }
 
-    fn edge_view_at(&self, at: usize, end: usize) -> Result<ArchivedEdgeView<'_>, SerialError> {
-        let bytes = &self.buf.bytes()[at..end];
-        Ok(match self.meta.encoding {
-            EdgeEncoding::Full => ArchivedEdgeView::Full(EdgeLabelView::new(bytes)?),
-            EdgeEncoding::Compact => ArchivedEdgeView::Compact(CompactEdgeLabelView::new(bytes)?),
-        })
+    /// The edge record at `at..end`, whose layout must be the one the
+    /// archive header's encoding byte declares.
+    fn edge_view_at(&self, at: usize, end: usize) -> Result<EdgeLabelView<'_>, SerialError> {
+        let view = EdgeLabelView::new(&self.buf.bytes()[at..end])?;
+        if view.encoding() != self.meta.encoding {
+            return Err(SerialError::new(SerialErrorKind::BadMagic, 0));
+        }
+        Ok(view)
     }
 
     /// The label of vertex `v` as a zero-copy view — O(1); `None` when
@@ -716,7 +718,7 @@ impl<'a> LabelStoreView<'a> {
 
     /// The label of the edge with original edge ID `e` as a zero-copy
     /// view — O(1); `None` when `e` is out of range.
-    pub fn edge_by_id(&self, e: usize) -> Option<ArchivedEdgeView<'_>> {
+    pub fn edge_by_id(&self, e: usize) -> Option<EdgeLabelView<'_>> {
         if e >= self.meta.m {
             return None;
         }
@@ -749,7 +751,7 @@ impl<'a> LabelStoreView<'a> {
 
     /// The label of the edge joining `u` and `v` (either order) as a
     /// zero-copy view — O(log m); `None` when no such edge is archived.
-    pub fn edge(&self, u: usize, v: usize) -> Option<ArchivedEdgeView<'_>> {
+    pub fn edge(&self, u: usize, v: usize) -> Option<EdgeLabelView<'_>> {
         self.edge_by_id(self.edge_id(u, v)?)
     }
 
@@ -836,7 +838,7 @@ impl<'a> LabelStoreView<'a> {
     fn session_resolving<'s, K: Copy>(
         &'s self,
         faults: impl IntoIterator<Item = K>,
-        resolve: impl Fn(K) -> Option<ArchivedEdgeView<'s>>,
+        resolve: impl Fn(K) -> Option<EdgeLabelView<'s>>,
         unknown: impl FnOnce(K) -> StoreError,
         scratch: &mut SessionScratch<RsVector>,
     ) -> Result<QuerySession, StoreError> {
@@ -907,12 +909,8 @@ impl<'a> LabelStoreView<'a> {
         // handed out once the slab is frozen into its `Arc`).
         let mut ancs = Vec::with_capacity(m);
         for e in 0..m {
-            let dst = &mut slab_vec[e * window..(e + 1) * window];
             let view = self.edge_by_id(e).expect("in range");
-            match view {
-                ArchivedEdgeView::Full(v) => v.copy_words_into(dst),
-                ArchivedEdgeView::Compact(v) => v.expand_words_into(dst),
-            }
+            view.syndrome_into(&mut slab_vec[e * window..(e + 1) * window]);
             ancs.push((view.anc_upper(), view.anc_lower()));
         }
         let slab: Arc<[Gf64]> = slab_vec.into();
@@ -936,110 +934,6 @@ impl<'a> LabelStoreView<'a> {
             vertex_labels,
             edge_labels,
             edge_index,
-        }
-    }
-}
-
-/// A zero-copy edge label view resolved out of an archive: full or
-/// compact encoding behind one tag. Implements [`EdgeLabelRead`], so it
-/// feeds [`QuerySession`]s directly.
-#[derive(Clone, Copy, Debug)]
-pub enum ArchivedEdgeView<'a> {
-    /// Full `2k`-syndrome encoding.
-    Full(EdgeLabelView<'a>),
-    /// Half-width characteristic-two encoding.
-    Compact(CompactEdgeLabelView<'a>),
-}
-
-impl ArchivedEdgeView<'_> {
-    /// Copies the view out into an owned label.
-    pub fn to_label(&self) -> EdgeLabel<RsVector> {
-        match self {
-            ArchivedEdgeView::Full(v) => v.to_label(),
-            ArchivedEdgeView::Compact(v) => v.to_label(),
-        }
-    }
-
-    /// The codec threshold `k` of the carried vector.
-    pub fn k(&self) -> usize {
-        match self {
-            ArchivedEdgeView::Full(v) => v.k(),
-            ArchivedEdgeView::Compact(v) => v.k(),
-        }
-    }
-
-    /// Number of hierarchy levels carried.
-    pub fn levels(&self) -> usize {
-        match self {
-            ArchivedEdgeView::Full(v) => {
-                let k = v.k();
-                if k == 0 {
-                    0
-                } else {
-                    v.num_words() / (2 * k)
-                }
-            }
-            ArchivedEdgeView::Compact(v) => v.levels(),
-        }
-    }
-}
-
-impl EdgeLabelRead for ArchivedEdgeView<'_> {
-    type Vector = RsVector;
-
-    fn header(&self) -> LabelHeader {
-        match self {
-            ArchivedEdgeView::Full(v) => v.header(),
-            ArchivedEdgeView::Compact(v) => v.header(),
-        }
-    }
-
-    fn anc_upper(&self) -> AncestryLabel {
-        match self {
-            ArchivedEdgeView::Full(v) => v.anc_upper(),
-            ArchivedEdgeView::Compact(v) => v.anc_upper(),
-        }
-    }
-
-    fn anc_lower(&self) -> AncestryLabel {
-        match self {
-            ArchivedEdgeView::Full(v) => v.anc_lower(),
-            ArchivedEdgeView::Compact(v) => v.anc_lower(),
-        }
-    }
-
-    fn to_vector(&self) -> RsVector {
-        match self {
-            ArchivedEdgeView::Full(v) => v.to_vector(),
-            ArchivedEdgeView::Compact(v) => v.to_vector(),
-        }
-    }
-
-    fn xor_vector_into(&self, acc: &mut RsVector) {
-        match self {
-            ArchivedEdgeView::Full(v) => v.xor_vector_into(acc),
-            ArchivedEdgeView::Compact(v) => v.xor_vector_into(acc),
-        }
-    }
-
-    fn slab_words(&self) -> usize {
-        match self {
-            ArchivedEdgeView::Full(v) => EdgeLabelRead::slab_words(v),
-            ArchivedEdgeView::Compact(v) => EdgeLabelRead::slab_words(v),
-        }
-    }
-
-    fn xor_into_slab(&self, dst: &mut [u64]) {
-        match self {
-            ArchivedEdgeView::Full(v) => v.xor_into_slab(dst),
-            ArchivedEdgeView::Compact(v) => v.xor_into_slab(dst),
-        }
-    }
-
-    fn configure_detector(&self, det: &mut crate::labels::RsDetector) {
-        match self {
-            ArchivedEdgeView::Full(v) => EdgeLabelRead::configure_detector(v, det),
-            ArchivedEdgeView::Compact(v) => EdgeLabelRead::configure_detector(v, det),
         }
     }
 }
@@ -1513,6 +1407,29 @@ mod tests {
             LabelStoreView::open(&bad).unwrap_err(),
             SerialError::new(SerialErrorKind::Inconsistent, 6)
         );
+    }
+
+    #[test]
+    fn encoding_byte_must_match_the_record_layout() {
+        // Edge views read both record layouts, so the archive's encoding
+        // byte is what pins them: a blob whose header claims the other
+        // encoding (checksum resealed, so only the cross-check can
+        // object) is rejected at the first edge record.
+        for encoding in [EdgeEncoding::Full, EdgeEncoding::Compact] {
+            let (_, mut blob) = archive(encoding);
+            let view = LabelStoreView::open(&blob).unwrap();
+            let (at, _) = view.edge_span(0);
+            let other = match encoding {
+                EdgeEncoding::Full => EdgeEncoding::Compact,
+                EdgeEncoding::Compact => EdgeEncoding::Full,
+            };
+            blob[6] = other.tag();
+            seal_v1_checksum(&mut blob);
+            assert_eq!(
+                LabelStoreView::open(&blob).unwrap_err(),
+                SerialError::new(SerialErrorKind::BadMagic, at)
+            );
+        }
     }
 
     #[test]

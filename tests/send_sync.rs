@@ -9,8 +9,8 @@
 
 use ftc::codes::{DecodeScratch, ThresholdCodec};
 use ftc::core::fragments::Fragments;
-use ftc::core::serial::{CompactEdgeLabelView, EdgeLabelView, VertexLabelView};
-use ftc::core::store::{ArchivedEdgeView, EdgeEncoding, LabelStore, LabelStoreView, StoreError};
+use ftc::core::serial::{EdgeLabelView, VertexLabelView};
+use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView, StoreError};
 use ftc::core::{
     EdgeLabel, LabelHeader, LabelSet, QueryError, QuerySession, RsDetector, RsVector,
     SessionScratch, VertexLabel,
@@ -37,10 +37,8 @@ fn serving_layer_types_are_send_sync() {
     // every zero-copy view type resolved out of them.
     assert_send_sync::<LabelStore>();
     assert_send_sync::<LabelStoreView<'static>>();
-    assert_send_sync::<ArchivedEdgeView<'static>>();
     assert_send_sync::<VertexLabelView<'static>>();
     assert_send_sync::<EdgeLabelView<'static>>();
-    assert_send_sync::<CompactEdgeLabelView<'static>>();
     assert_send_sync::<EdgeEncoding>();
     assert_send_sync::<StoreError>();
     assert_clone::<LabelStoreView<'static>>();

@@ -8,7 +8,7 @@
 
 use ftc::core::serial::{
     compact_edge_from_bytes, edge_from_bytes, edge_to_bytes, edge_to_bytes_compact,
-    vertex_from_bytes, vertex_to_bytes, CompactEdgeLabelView, EdgeLabelView, VertexLabelView,
+    vertex_from_bytes, vertex_to_bytes, EdgeLabelView, VertexLabelView,
 };
 use ftc::core::store::{EdgeEncoding, LabelStore, LabelStoreView};
 use ftc::core::{FtcScheme, Params, QuerySession, VertexLabelRead};
@@ -117,7 +117,7 @@ proptest! {
             prop_assert!(compact.len() <= full.len());
             // Owned parser and zero-copy view agree with the original.
             prop_assert_eq!(&compact_edge_from_bytes(&compact).unwrap(), label);
-            let view = CompactEdgeLabelView::new(&compact).unwrap();
+            let view = EdgeLabelView::new(&compact).unwrap();
             prop_assert_eq!(&view.to_label(), label);
             // The compact encoding must agree with the full one after
             // expansion, bit for bit.
@@ -130,13 +130,13 @@ proptest! {
             for cut in 0..compact.len() {
                 let owned_err = compact_edge_from_bytes(&compact[..cut]).unwrap_err();
                 prop_assert!(owned_err.offset <= cut);
-                prop_assert!(CompactEdgeLabelView::new(&compact[..cut]).is_err());
+                prop_assert!(EdgeLabelView::new(&compact[..cut]).is_err());
             }
             // Trailing garbage is rejected too.
             let mut ext = compact.clone();
             ext.push(0);
             prop_assert!(compact_edge_from_bytes(&ext).is_err());
-            prop_assert!(CompactEdgeLabelView::new(&ext).is_err());
+            prop_assert!(EdgeLabelView::new(&ext).is_err());
         }
     }
 
